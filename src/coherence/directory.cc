@@ -11,60 +11,32 @@ DirectoryInterconnect::DirectoryInterconnect(EventQueue &eq,
                                              InterconnectParams params)
     : Interconnect(eq, stats, params),
       fwdSnoops_(stats.counter("dir", "forwardedSnoops")),
-      invalidations_(stats.counter("dir", "invalidations")),
-      bankedWriteBacks_(stats.counter("dir", "bankedWriteBacks"))
+      invalidations_(stats.counter("dir", "invalidations"))
 {
-    banks_.resize(static_cast<std::size_t>(params_.dirBanks));
-}
-
-int
-DirectoryInterconnect::bankOf(Addr line) const
-{
-    return static_cast<int>((lineAlign(line) >> lineShift) %
-                            static_cast<Addr>(banks_.size()));
-}
-
-CpuId
-DirectoryInterconnect::bankOwnerCpu(int bank) const
-{
-    return static_cast<CpuId>(static_cast<std::size_t>(bank) %
-                              snoopers_.size());
-}
-
-DirectoryInterconnect::Entry &
-DirectoryInterconnect::entryFor(Addr line)
-{
-    return banks_[static_cast<std::size_t>(bankOf(line))][line];
 }
 
 void
 DirectoryInterconnect::submit(const BusRequest &req)
 {
-    submitArrive(req, eq_.now());
-}
-
-void
-DirectoryInterconnect::submitArrive(const BusRequest &req, Tick submit_tick)
-{
     BusRequest r = req;
     r.sn = nextSn_++;
     if (TLR_TRACE_ARMED(trace_))
-        trace_->emit(submit_tick, TraceComp::Dir, TraceEvent::CohSubmit,
+        trace_->emit(eq_.now(), TraceComp::Dir, TraceEvent::CohSubmit,
                      r.requester, r.line,
                      static_cast<std::uint64_t>(r.type), r.ts.clock,
                      packTsMeta(r.ts));
     // Request travels to the home node, then queues for the directory
     // pipeline (one ordered transaction per addrOccupancy cycles).
-    eq_.schedule(submit_tick + params_.snoopLatency,
-                 [this, r] {
-                     queue_.push_back(r);
-                     if (!pumpScheduled_) {
-                         pumpScheduled_ = true;
-                         eq_.scheduleIn(0, [this] { pump(); },
-                                        EventPrio::Snoop);
-                     }
-                 },
-                 EventPrio::BusArbitration);
+    eq_.scheduleIn(params_.snoopLatency,
+                   [this, r] {
+                       queue_.push_back(r);
+                       if (!pumpScheduled_) {
+                           pumpScheduled_ = true;
+                           eq_.scheduleIn(0, [this] { pump(); },
+                                          EventPrio::Snoop);
+                       }
+                   },
+                   EventPrio::BusArbitration);
 }
 
 void
@@ -72,7 +44,7 @@ DirectoryInterconnect::traceFwd(const BusRequest &req, CpuId dest,
                                 bool inval)
 {
     if (TLR_TRACE_ARMED(trace_))
-        trace_->emit(curTick(), TraceComp::Dir, TraceEvent::CohFwd,
+        trace_->emit(eq_.now(), TraceComp::Dir, TraceEvent::CohFwd,
                      req.requester, req.line,
                      static_cast<std::uint64_t>(dest),
                      static_cast<std::uint64_t>(req.type),
@@ -89,69 +61,20 @@ DirectoryInterconnect::pump()
     BusRequest req = queue_.front();
     queue_.pop_front();
     ++txnCount_;
-    if (params_.dirBanks > 1 && req.type == ReqType::WriteBack) {
-        // Bank-local work: a WriteBack touches exactly one bank entry
-        // and snoops nobody, so it needs no serialized global. It is
-        // ordered and counted here, at the pump (stats shards must
-        // not be touched from partition context); the entry update
-        // runs inside the bank owner's partition — as an ordinary
-        // event under the kernel, as a same-tick DataResponse event
-        // classically — so banked timing is mode-independent.
-        ++bankedWriteBacks_;
-        const Tick order_tick = eq_.now();
-        const BusRequest r = req;
-        auto apply = [this, r, order_tick] {
-            applyWriteBack(r, order_tick);
-        };
-        if (router_)
-            router_->postPartition(
-                static_cast<int>(bankOwnerCpu(bankOf(req.line))),
-                order_tick, std::move(apply));
-        else
-            eq_.schedule(order_tick, std::move(apply),
-                         EventPrio::DataResponse);
-    } else if (router_) {
-        router_->postGlobal(eq_.now(), [this, req] { process(req); });
-    } else {
-        process(req);
-    }
+    process(req);
     eq_.scheduleIn(params_.addrOccupancy, [this] { pump(); },
                    EventPrio::Snoop);
-}
-
-void
-DirectoryInterconnect::applyWriteBack(const BusRequest &req,
-                                      Tick order_tick)
-{
-    // Partition-context twin of process()'s WriteBack arm. The trace
-    // record goes through the executing partition's own sink (the
-    // shared sink belongs to serialized contexts); the stitcher sorts
-    // it into tick order with everything else.
-    TraceSink *sink =
-        router_ ?
-            router_->partitionSink(
-                static_cast<int>(bankOwnerCpu(bankOf(req.line)))) :
-            trace_;
-    if (TLR_TRACE_ARMED(sink))
-        sink->emit(order_tick, TraceComp::Dir, TraceEvent::CohOrder,
-                   req.requester, req.line,
-                   static_cast<std::uint64_t>(req.type), req.sn,
-                   req.ts.clock, packTsMeta(req.ts));
-    Entry &e = entryFor(req.line);
-    if (e.owner == req.requester)
-        e.owner = invalidCpu;
-    e.sharers.erase(req.requester);
 }
 
 void
 DirectoryInterconnect::process(const BusRequest &req)
 {
     if (TLR_TRACE_ARMED(trace_))
-        trace_->emit(curTick(), TraceComp::Dir, TraceEvent::CohOrder,
+        trace_->emit(eq_.now(), TraceComp::Dir, TraceEvent::CohOrder,
                      req.requester, req.line,
                      static_cast<std::uint64_t>(req.type), req.sn,
                      req.ts.clock, packTsMeta(req.ts));
-    Entry &e = entryFor(req.line);
+    Entry &e = entries_[req.line];
     auto snooper = [this](CpuId c) {
         return snoopers_.at(static_cast<size_t>(c));
     };
@@ -168,7 +91,6 @@ DirectoryInterconnect::process(const BusRequest &req)
       case ReqType::Upgrade: {
         if (!snooper(req.requester)->upgradeValid(req.line)) {
             // Stale: the requester reissues as GetX (no side effects).
-            ++serialOps_;
             snooper(req.requester)->ownRequestOrdered(req, false, false);
             return;
         }
@@ -176,8 +98,6 @@ DirectoryInterconnect::process(const BusRequest &req)
         for (CpuId c : e.sharers) {
             if (c != req.requester) {
                 ++invalidations_;
-                ++serialSnoops_;
-                ++serialOps_;
                 traceFwd(req, c, true);
                 snooper(c)->snoop(req);
             }
@@ -185,14 +105,11 @@ DirectoryInterconnect::process(const BusRequest &req)
         if (e.owner != invalidCpu && e.owner != req.requester &&
             !e.sharers.count(e.owner)) {
             ++invalidations_;
-            ++serialSnoops_;
-            ++serialOps_;
             traceFwd(req, e.owner, true);
             snooper(e.owner)->snoop(req);
         }
         e.owner = req.requester;
         e.sharers = {req.requester};
-        ++serialOps_;
         snooper(req.requester)->ownRequestOrdered(req, false, false);
         return;
       }
@@ -203,8 +120,6 @@ DirectoryInterconnect::process(const BusRequest &req)
         bool anyOwner = false;
         if (e.owner != invalidCpu) {
             ++fwdSnoops_;
-            ++serialSnoops_;
-            ++serialOps_;
             traceFwd(req, e.owner, false);
             SnoopReply r = snooper(e.owner)->snoop(req);
             anyOwner = r.owner;
@@ -216,11 +131,9 @@ DirectoryInterconnect::process(const BusRequest &req)
             if (c != req.requester)
                 anySharer = true;
         e.sharers.insert(req.requester);
-        ++serialOps_;
         snooper(req.requester)->ownRequestOrdered(req, anyOwner,
                                                   anySharer);
         if (!anyOwner) {
-            ++serialOps_;
             if (!anySharer) {
                 // The grant will be Exclusive: E is an owner state, so
                 // the directory must track the requester as owner (it
@@ -240,8 +153,6 @@ DirectoryInterconnect::process(const BusRequest &req)
         CpuId oldOwner = e.owner;
         if (oldOwner != invalidCpu) {
             ++fwdSnoops_;
-            ++serialSnoops_;
-            ++serialOps_;
             traceFwd(req, oldOwner, false);
             SnoopReply r = snooper(oldOwner)->snoop(req);
             anyOwner = r.owner;
@@ -249,8 +160,6 @@ DirectoryInterconnect::process(const BusRequest &req)
         for (CpuId c : e.sharers) {
             if (c != req.requester && c != oldOwner) {
                 ++invalidations_;
-                ++serialSnoops_;
-                ++serialOps_;
                 traceFwd(req, c, true);
                 snooper(c)->snoop(req);
             }
@@ -259,10 +168,8 @@ DirectoryInterconnect::process(const BusRequest &req)
         // even though the data may flow through a deferral chain.
         e.owner = req.requester;
         e.sharers = {req.requester};
-        ++serialOps_;
         snooper(req.requester)->ownRequestOrdered(req, anyOwner, false);
         if (!anyOwner) {
-            ++serialOps_;
             mem_->supply(req, false);
         }
         return;
@@ -273,19 +180,15 @@ DirectoryInterconnect::process(const BusRequest &req)
 CpuId
 DirectoryInterconnect::dirOwner(Addr line) const
 {
-    const Addr la = lineAlign(line);
-    const auto &bank = banks_[static_cast<std::size_t>(bankOf(la))];
-    auto it = bank.find(la);
-    return it == bank.end() ? invalidCpu : it->second.owner;
+    auto it = entries_.find(lineAlign(line));
+    return it == entries_.end() ? invalidCpu : it->second.owner;
 }
 
 size_t
 DirectoryInterconnect::dirSharers(Addr line) const
 {
-    const Addr la = lineAlign(line);
-    const auto &bank = banks_[static_cast<std::size_t>(bankOf(la))];
-    auto it = bank.find(la);
-    return it == bank.end() ? 0 : it->second.sharers.size();
+    auto it = entries_.find(lineAlign(line));
+    return it == entries_.end() ? 0 : it->second.sharers.size();
 }
 
 } // namespace tlr

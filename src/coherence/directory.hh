@@ -36,24 +36,10 @@ class DirectoryInterconnect : public Interconnect
                           InterconnectParams params);
 
     void submit(const BusRequest &req) override;
-    void submitArrive(const BusRequest &req, Tick submit_tick) override;
-    /** A submit's first effect is its home-node arrival event,
-     *  snoopLatency ticks later. */
-    Tick orderingNotice() const override
-    {
-        return params_.snoopLatency > 0 ? params_.snoopLatency : 1;
-    }
-    /** The directory pump processes (and posts) at its own tick. */
-    Tick globalPostLag() const override { return 0; }
 
     /** Test introspection. */
     CpuId dirOwner(Addr line) const;
     size_t dirSharers(Addr line) const;
-
-    /** Bank (address-interleaved by line) holding @p line's entry. */
-    int bankOf(Addr line) const;
-    /** CPU whose partition owns bank @p bank's state. */
-    CpuId bankOwnerCpu(int bank) const;
 
   private:
     struct Entry
@@ -64,28 +50,16 @@ class DirectoryInterconnect : public Interconnect
 
     void pump();
     void process(const BusRequest &req);
-    /** Bank-local WriteBack application (banked mode): ordered and
-     *  counted in pump(); the entry update itself runs inside the
-     *  bank owner's partition via ParallelRouter::postPartition. */
-    void applyWriteBack(const BusRequest &req, Tick order_tick);
     /** Trace a directory-forwarded snoop/invalidation toward @p dest
      *  (metrics: per-link accounting of directory fan-out traffic). */
     void traceFwd(const BusRequest &req, CpuId dest, bool inval);
 
-    Entry &entryFor(Addr line);
-
-    /** Per-bank entry maps; size params_.dirBanks. One bank keeps the
-     *  old single-map behavior byte for byte; with more, each bank's
-     *  map is touched only by its owner partition's events and by
-     *  serialized contexts (workers parked), so sharded processing
-     *  needs no locks. */
-    std::vector<std::unordered_map<Addr, Entry>> banks_;
+    std::unordered_map<Addr, Entry> entries_;
     std::deque<BusRequest> queue_;
     bool pumpScheduled_ = false;
 
     std::uint64_t &fwdSnoops_;
     std::uint64_t &invalidations_;
-    std::uint64_t &bankedWriteBacks_;
 };
 
 } // namespace tlr

@@ -24,13 +24,8 @@ Interconnect::Interconnect(EventQueue &eq, StatSet &stats,
       txnCount_(stats.counter("bus", "transactions")),
       dataMsgs_(stats.counter("net", "dataMsgs")),
       markerMsgs_(stats.counter("net", "markerMsgs")),
-      probeMsgs_(stats.counter("net", "probeMsgs")),
-      serialOps_(stats.counter("pkernel", "serialOps")),
-      serialSnoops_(stats.counter("pkernel", "serialSnoops")),
-      filteredSnoops_(stats.counter("pkernel", "filteredSnoops"))
+      probeMsgs_(stats.counter("net", "probeMsgs"))
 {
-    if (params_.dirBanks < 1)
-        fatal("interconnect needs at least one directory bank");
 }
 
 void
@@ -103,24 +98,18 @@ BroadcastInterconnect::addSnooper(Snooper *s)
 void
 BroadcastInterconnect::submit(const BusRequest &req)
 {
-    submitArrive(req, eq_.now());
-}
-
-void
-BroadcastInterconnect::submitArrive(const BusRequest &req, Tick submit_tick)
-{
     BusRequest r = req;
     r.sn = nextSn_++;
     if (TLR_TRACE_ARMED(trace_))
-        trace_->emit(submit_tick, TraceComp::Bus, TraceEvent::CohSubmit,
+        trace_->emit(eq_.now(), TraceComp::Bus, TraceEvent::CohSubmit,
                      r.requester, r.line,
                      static_cast<std::uint64_t>(r.type), r.ts.clock,
                      packTsMeta(r.ts));
     queues_.at(static_cast<size_t>(r.requester)).push_back(r);
     if (!arbScheduled_) {
         arbScheduled_ = true;
-        eq_.schedule(submit_tick + 1, [this] { arbitrate(); },
-                     EventPrio::BusArbitration);
+        eq_.scheduleIn(1, [this] { arbitrate(); },
+                       EventPrio::BusArbitration);
     }
 }
 
@@ -136,13 +125,8 @@ BroadcastInterconnect::arbitrate()
             queues_[idx].pop_front();
             rrNext_ = idx + 1;
             ++txnCount_;
-            if (router_)
-                router_->postGlobal(eq_.now() + params_.snoopLatency,
-                                    [this, req] { deliver(req); });
-            else
-                eq_.scheduleIn(params_.snoopLatency,
-                               [this, req] { deliver(req); },
-                               EventPrio::Snoop);
+            eq_.scheduleIn(params_.snoopLatency,
+                           [this, req] { deliver(req); }, EventPrio::Snoop);
             break;
         }
     }
@@ -160,7 +144,7 @@ void
 BroadcastInterconnect::deliver(BusRequest req)
 {
     if (TLR_TRACE_ARMED(trace_))
-        trace_->emit(curTick(), TraceComp::Bus, TraceEvent::CohOrder,
+        trace_->emit(eq_.now(), TraceComp::Bus, TraceEvent::CohOrder,
                      req.requester, req.line,
                      static_cast<std::uint64_t>(req.type), req.sn,
                      req.ts.clock, packTsMeta(req.ts));
@@ -177,7 +161,6 @@ BroadcastInterconnect::deliver(BusRequest req)
         // Stale upgrade: the requester lost its copy while the request
         // was in flight. It must not invalidate anyone; the requester
         // converts it to a GetX at its order point.
-        ++serialOps_;
         snoopers_.at(static_cast<size_t>(req.requester))
             ->ownRequestOrdered(req, false, false);
         return;
@@ -190,24 +173,17 @@ BroadcastInterconnect::deliver(BusRequest req)
             continue;
         // Snoop filter: a controller holding no state for the line —
         // no valid copy, no victim copy, no MSHR — answers with a
-        // strict no-op, so the call (the dominant serialized cost of
-        // a broadcast delivery) can be elided outright.
-        if (params_.snoopFilter && !s->holdsLineState(req.line)) {
-            ++filteredSnoops_;
+        // strict no-op, so the call can be elided outright.
+        if (!s->holdsLineState(req.line))
             continue;
-        }
-        ++serialSnoops_;
-        ++serialOps_;
         SnoopReply r = s->snoop(req);
         anyOwner |= r.owner;
         anySharer |= r.sharer;
     }
-    ++serialOps_;
     snoopers_.at(static_cast<size_t>(req.requester))
         ->ownRequestOrdered(req, anyOwner, anySharer);
     if (!anyOwner &&
         (req.type == ReqType::GetS || req.type == ReqType::GetX)) {
-        ++serialOps_;
         mem_->supply(req, anySharer);
     }
 }

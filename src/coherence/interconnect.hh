@@ -73,9 +73,8 @@ class Snooper
      * only costs a wasted snoop, but returning false for a line the
      * controller tracks would skip a required snoop. snoop() on a
      * controller without line state must be a strict no-op, which is
-     * what lets the broadcast bus elide the call entirely. Pure:
-     * called from serialized ordering contexts while partitions are
-     * parked, so it may read cache state directly but not touch it.
+     * what lets the broadcast bus elide the call entirely. Pure: it
+     * may read cache state but not touch it.
      */
     virtual bool holdsLineState(Addr line) const { (void)line; return true; }
 
@@ -89,47 +88,6 @@ struct InterconnectParams
     Tick addrOccupancy = 2; ///< cycles between ordered transactions
     Tick snoopLatency = 20; ///< request issue -> global order/snoop
     Tick dataLatency = 20;  ///< point-to-point data network latency
-    /** Elide snoops to controllers holding no state for the line
-     *  (Snooper::holdsLineState). Exact — a stateless snoop is a
-     *  strict no-op — so simulated timing and stats are identical
-     *  with it on or off except pkernel.serialSnoops/filteredSnoops. */
-    bool snoopFilter = true;
-    /** Directory banks (address-interleaved by line). With > 1 bank,
-     *  bank-local work (WriteBack entry updates) runs inside the
-     *  owning CPU's partition instead of as a serialized global;
-     *  1 bank reproduces the unsharded directory exactly. */
-    int dirBanks = 1;
-};
-
-/**
- * Hook the parallel kernel implements so an interconnect can hand it
- * the events that touch more than one partition (snoop deliveries,
- * directory processing). When no router is attached the interconnect
- * schedules these on its own event queue, exactly as before.
- */
-class ParallelRouter
-{
-  public:
-    virtual ~ParallelRouter() = default;
-    /** Execute @p fn serialized across partitions at tick @p when. */
-    virtual void postGlobal(Tick when, std::function<void()> fn) = 0;
-    /**
-     * Execute @p fn as an ordinary event of CPU @p cpu's partition at
-     * tick @p when (EventPrio::DataResponse). For work that touches
-     * state owned by exactly one partition — directory bank updates —
-     * so it rides the parallel phase instead of a serialized global.
-     * Only call from serialized contexts (ordering machine, globals)
-     * with @p when at or past the kernel's committed frontier.
-     */
-    virtual void postPartition(int cpu, Tick when,
-                               std::function<void()> fn) = 0;
-    /** Capture sink owned by CPU @p cpu's partition. postPartition
-     *  events must emit trace records through this sink — the shared
-     *  interconnect sink belongs to serialized contexts and would
-     *  race with partition execution. */
-    virtual TraceSink *partitionSink(int cpu) = 0;
-    /** Simulated time of the in-flight global/barrier context. */
-    virtual Tick currentTick() const = 0;
 };
 
 /**
@@ -146,35 +104,9 @@ class Interconnect
     virtual void addSnooper(Snooper *s);
     void setMemory(MemoryController *mem) { mem_ = mem; }
     void setTrace(TraceSink *sink) { trace_ = sink; }
-    void setRouter(ParallelRouter *router) { router_ = router; }
 
     /** Enqueue an address transaction for ordering. */
     virtual void submit(const BusRequest &req) = 0;
-
-    /**
-     * Parallel-kernel entry point: apply a submit that happened at
-     * @p submit_tick on another partition. Must behave exactly like
-     * submit() issued with now() == submit_tick; the kernel replays
-     * staged submits in deterministic order at window barriers.
-     */
-    virtual void submitArrive(const BusRequest &req, Tick submit_tick) = 0;
-
-    /**
-     * Conservative notice, in ticks, between a submit and the first
-     * ordering-machine event it can create or influence. The kernel
-     * may safely run ordering events up to (but excluding)
-     * submit-frontier + orderingNotice().
-     */
-    virtual Tick orderingNotice() const = 0;
-
-    /**
-     * Minimum delay between an ordering-machine event and any global
-     * it posts via the router. When this is >= the kernel lookahead,
-     * ordering events may run after the window they were pending in;
-     * otherwise the kernel must bound windows at the next pending
-     * ordering event.
-     */
-    virtual Tick globalPostLag() const = 0;
 
     /** @{ Point-to-point messages (data network). */
     void sendData(CpuId to, const DataMsg &msg);
@@ -185,17 +117,11 @@ class Interconnect
     const InterconnectParams &params() const { return params_; }
 
   protected:
-    /** Tick to stamp trace records with: the router's serialized
-     *  execution time when attached, the local queue's otherwise. */
-    Tick curTick() const { return router_ ? router_->currentTick()
-                                          : eq_.now(); }
-
     EventQueue &eq_;
     StatSet &stats_;
     InterconnectParams params_;
     MemoryController *mem_ = nullptr;
     TraceSink *trace_ = nullptr;
-    ParallelRouter *router_ = nullptr;
     std::vector<Snooper *> snoopers_;
     std::uint64_t nextSn_ = 1;
 
@@ -203,16 +129,6 @@ class Interconnect
     std::uint64_t &dataMsgs_;
     std::uint64_t &markerMsgs_;
     std::uint64_t &probeMsgs_;
-    /** @{ serialized-phase work attribution ("pkernel" group):
-     *  controller operations (snoops, own-request callbacks, memory
-     *  supplies) executed inside ordered deliveries — the work that
-     *  runs serialized under the parallel kernel — plus snoops the
-     *  filter elided. Counted identically in classic mode so stats
-     *  stay mode-independent. */
-    std::uint64_t &serialOps_;
-    std::uint64_t &serialSnoops_;
-    std::uint64_t &filteredSnoops_;
-    /** @} */
 };
 
 /** The paper's configuration: Gigaplane-style ordered broadcast. */
@@ -223,11 +139,6 @@ class BroadcastInterconnect : public Interconnect
 
     void addSnooper(Snooper *s) override;
     void submit(const BusRequest &req) override;
-    void submitArrive(const BusRequest &req, Tick submit_tick) override;
-    /** A submit's first effect is arbitration one tick later. */
-    Tick orderingNotice() const override { return 1; }
-    /** Arbitration posts snoop deliveries snoopLatency ticks out. */
-    Tick globalPostLag() const override { return params_.snoopLatency; }
 
   private:
     void arbitrate();

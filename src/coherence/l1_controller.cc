@@ -1,7 +1,6 @@
 #include "coherence/l1_controller.hh"
 
 #include "sim/logging.hh"
-#include "sim/parallel_kernel.hh"
 
 namespace tlr
 {
@@ -80,8 +79,8 @@ L1Controller::holdsLineState(Addr line) const
     // only act when an MSHR is outstanding for the line or a valid
     // copy sits in the array or victim cache. Deliberately NOT
     // findLine()/findLineConst() — those perform lazy victim
-    // promotion, and this predicate must be side-effect free (it runs
-    // against live cache state from serialized ordering contexts).
+    // promotion, and this predicate must be side-effect free: a
+    // filtered snoop has to leave the cache exactly as it found it.
     const Addr la = lineAlign(line);
     if (mshrs_.count(la))
         return true;
@@ -107,8 +106,8 @@ L1Controller::evictLine(CacheLine &line)
         // Access bits are now cleared; fall through to a normal evict.
     }
     if (isDirtyState(line.state)) {
-        memWriteBack(line.addr, line.data);
-        netSubmit({ReqType::WriteBack, line.addr, id_, Timestamp{}, 0});
+        mem_.writeBack(line.addr, line.data);
+        net_.submit({ReqType::WriteBack, line.addr, id_, Timestamp{}, 0});
         ++writeBacksInit_;
     }
     clearLinkIf(line.addr);
@@ -220,7 +219,7 @@ L1Controller::forwardContenderProbes()
                   w.ts.earlierThan(hooks_.currentTs())))
                 continue;
             if (m2.markerFrom != invalidCpu) {
-                netSendProbe(m2.markerFrom, {line2, w.ts, id_});
+                net_.sendProbe(m2.markerFrom, {line2, w.ts, id_});
                 ++probesSent_;
             } else if (!m2.pendingProbe ||
                        w.ts.earlierThan(*m2.pendingProbe)) {
@@ -364,7 +363,7 @@ L1Controller::missIssue(const CacheOp &op, ReqType type)
     m.op = op;
     mshrs_.emplace(la, std::move(m));
     Timestamp ts = op.spec ? hooks_.currentTs() : Timestamp{};
-    netSubmit({type, la, id_, ts, 0});
+    net_.submit({type, la, id_, ts, 0});
     if (op.spec)
         maybeArmYield();
 }
@@ -556,7 +555,7 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
     Waiter w{req.requester, req.type, req.ts, false};
     // Tell the new pending owner who its upstream neighbor is so it
     // can forward probes toward the data (paper Section 3.1.1).
-    netSendMarker(req.requester, {mshr.line, id_});
+    net_.sendMarker(req.requester, {mshr.line, id_});
 
     // Propagate the request's priority toward the data holder at the
     // head of the chain ("conflicting requests must propagate along
@@ -567,7 +566,7 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
     // would not.
     if (req.ts.valid) {
         if (mshr.markerFrom != invalidCpu) {
-            netSendProbe(mshr.markerFrom, {mshr.line, req.ts, id_});
+            net_.sendProbe(mshr.markerFrom, {mshr.line, req.ts, id_});
             ++probesSent_;
         } else if (!mshr.pendingProbe ||
                    req.ts.earlierThan(*mshr.pendingProbe)) {
@@ -691,7 +690,7 @@ L1Controller::handleOwnerSnoop(CacheLine &line, const BusRequest &req,
                 trace_->emit(eq_.now(), TraceComp::L1,
                              TraceEvent::CohDeferDepth, id_, 0,
                              deferredDepth());
-            netSendMarker(req.requester, {la, id_});
+            net_.sendMarker(req.requester, {la, id_});
             maybeArmYield();
             return; // owner=true already: requester waits on us
         }
@@ -733,7 +732,7 @@ L1Controller::handleOwnerSnoop(CacheLine &line, const BusRequest &req,
         line.invalidate();
         victim_.erase(la);
     }
-    netSendData(req.requester, msg);
+    net_.sendData(req.requester, msg);
 }
 
 SnoopReply
@@ -873,7 +872,7 @@ L1Controller::ownRequestOrdered(const BusRequest &req, bool any_owner,
         m.type = ReqType::GetX;
         m.ordered = false;
         Timestamp ts = m.spec ? hooks_.currentTs() : Timestamp{};
-        netSubmit({ReqType::GetX, req.line, id_, ts, 0});
+        net_.submit({ReqType::GetX, req.line, id_, ts, 0});
         return;
     }
 
@@ -1059,7 +1058,7 @@ L1Controller::serviceWaiter(const Waiter &w, Addr line_addr,
         l->invalidate();
         victim_.erase(line_addr);
     }
-    netSendData(w.cpu, msg);
+    net_.sendData(w.cpu, msg);
 }
 
 //
@@ -1075,7 +1074,7 @@ L1Controller::marker(const MarkerMsg &msg)
     Mshr &m = it->second;
     m.markerFrom = msg.from;
     if (m.pendingProbe) {
-        netSendProbe(m.markerFrom, {msg.line, *m.pendingProbe, id_});
+        net_.sendProbe(m.markerFrom, {msg.line, *m.pendingProbe, id_});
         ++probesSent_;
         m.pendingProbe.reset();
     }
@@ -1132,7 +1131,7 @@ L1Controller::probe(const ProbeMsg &msg)
         it->second.isExclusive()) {
         Mshr &m = it->second;
         if (m.markerFrom != invalidCpu) {
-            netSendProbe(m.markerFrom, {la, msg.ts, id_});
+            net_.sendProbe(m.markerFrom, {la, msg.ts, id_});
             ++probesSent_;
         } else if (!m.pendingProbe || msg.ts.earlierThan(*m.pendingProbe)) {
             m.pendingProbe = msg.ts;
@@ -1344,51 +1343,6 @@ L1Controller::peekWord(Addr addr) const
 {
     const CacheLine *l = findLineConst(lineAlign(addr));
     return l ? l->data[wordIndex(addr)] : 0;
-}
-
-void
-L1Controller::netSubmit(const BusRequest &req)
-{
-    if (port_)
-        port_->submit(req);
-    else
-        net_.submit(req);
-}
-
-void
-L1Controller::netSendData(CpuId to, const DataMsg &msg)
-{
-    if (port_)
-        port_->sendData(to, msg);
-    else
-        net_.sendData(to, msg);
-}
-
-void
-L1Controller::netSendMarker(CpuId to, const MarkerMsg &msg)
-{
-    if (port_)
-        port_->sendMarker(to, msg);
-    else
-        net_.sendMarker(to, msg);
-}
-
-void
-L1Controller::netSendProbe(CpuId to, const ProbeMsg &msg)
-{
-    if (port_)
-        port_->sendProbe(to, msg);
-    else
-        net_.sendProbe(to, msg);
-}
-
-void
-L1Controller::memWriteBack(Addr line_addr, const LineData &data)
-{
-    if (port_)
-        port_->writeBack(line_addr, data);
-    else
-        mem_.writeBack(line_addr, data);
 }
 
 } // namespace tlr

@@ -56,8 +56,6 @@ struct L1Params
     Tick yieldTimeout = 1000;
 };
 
-class FabricPort;
-
 class L1Controller : public Snooper
 {
   public:
@@ -65,12 +63,6 @@ class L1Controller : public Snooper
                  Interconnect &net, MemoryController &mem, SpecHooks &hooks);
 
     void setTrace(TraceSink *sink) { trace_ = sink; }
-
-    /** Route fabric traffic (submits, data/marker/probe sends,
-     *  writebacks) through a parallel-kernel FabricPort instead of
-     *  the interconnect/memory directly. Null (the default) keeps the
-     *  classic direct path. */
-    void setPort(FabricPort *port) { port_ = port; }
 
     /** @{ Engine-facing request interface. */
     void access(const CacheOp &op);
@@ -194,14 +186,6 @@ class L1Controller : public Snooper
     bool winsConflict(const Timestamp &incoming) const;
     /** @} */
 
-    /** @{ Fabric access: via port_ when set, direct otherwise. */
-    void netSubmit(const BusRequest &req);
-    void netSendData(CpuId to, const DataMsg &msg);
-    void netSendMarker(CpuId to, const MarkerMsg &msg);
-    void netSendProbe(CpuId to, const ProbeMsg &msg);
-    void memWriteBack(Addr line_addr, const LineData &data);
-    /** @} */
-
     EventQueue &eq_;
     StatSet &stats_;
     const CpuId id_;
@@ -210,7 +194,6 @@ class L1Controller : public Snooper
     MemoryController &mem_;
     SpecHooks &hooks_;
     TraceSink *trace_ = nullptr;
-    FabricPort *port_ = nullptr;
 
     CacheArray array_;
     VictimCache victim_;

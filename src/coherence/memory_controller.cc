@@ -1,7 +1,6 @@
 #include "coherence/memory_controller.hh"
 
 #include "sim/logging.hh"
-#include "sim/parallel_kernel.hh"
 
 namespace tlr
 {
@@ -39,12 +38,7 @@ MemoryController::supply(const BusRequest &req, bool any_sharer)
 
     CpuId to = req.requester;
     eq_.scheduleIn(latency,
-                   [this, to, msg] {
-                       if (port_)
-                           port_->sendData(to, msg);
-                       else
-                           net_.sendData(to, msg);
-                   },
+                   [this, to, msg] { net_.sendData(to, msg); },
                    EventPrio::Default);
 }
 

@@ -26,18 +26,11 @@ struct MemParams
     Tick memLatency = 70; ///< additional DRAM latency on L2 miss
 };
 
-class FabricPort;
-
 class MemoryController
 {
   public:
     MemoryController(EventQueue &eq, StatSet &stats, Interconnect &net,
                      BackingStore &store, MemParams params);
-
-    /** Route data responses through a parallel-kernel FabricPort
-     *  instead of the interconnect directly. Null (the default) keeps
-     *  the classic direct path. */
-    void setPort(FabricPort *port) { port_ = port; }
 
     /** Called by the bus for an ordered GetS/GetX with no L1 owner. */
     void supply(const BusRequest &req, bool any_sharer);
@@ -51,7 +44,6 @@ class MemoryController
     EventQueue &eq_;
     Interconnect &net_;
     BackingStore &store_;
-    FabricPort *port_ = nullptr;
     MemParams params_;
     std::uint64_t &supplies_;
     std::uint64_t &writeBacks_;

@@ -52,9 +52,6 @@ maybeWriteEnvBundle(const MachineParams &mp, const Workload &wl,
     bm.valid = r.valid;
     bm.cycles = r.cycles;
     bm.invariantViolations = r.invariantViolations;
-    bm.threads = mp.threads;
-    bm.lookahead = mp.lookahead;
-    bm.dirBanks = mp.net.dirBanks;
 
     BundleArtifacts art;
     std::string extra;
@@ -108,7 +105,7 @@ runWorkload(const MachineParams &mp, const Workload &wl)
     r.busyCycles = s.sum("core", "busyCycles");
     r.traceRecords = sys.traceSink().emitted();
     r.invariantViolations = s.get("trace", "violations");
-    r.kernelEvents = sys.kernelEventsExecuted();
+    r.kernelEvents = sys.eventQueue().executed();
     if (sys.metrics())
         r.metrics = std::make_shared<MetricsSnapshot>(
             sys.metrics()->snapshot());

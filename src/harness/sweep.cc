@@ -17,16 +17,6 @@ defaultJobs()
     return hw ? hw : 1;
 }
 
-unsigned
-resolveJobs(unsigned requested, unsigned threads_per_sim)
-{
-    if (requested > 0)
-        return requested;
-    unsigned per = threads_per_sim ? threads_per_sim : 1;
-    unsigned jobs = defaultJobs() / per;
-    return jobs ? jobs : 1;
-}
-
 std::vector<SweepResult>
 runSweep(const std::vector<SweepTask> &tasks, unsigned jobs)
 {

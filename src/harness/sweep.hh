@@ -46,13 +46,6 @@ struct SweepResult
  *  concurrency, floored at 1. */
 unsigned defaultJobs();
 
-/** Resolve a --jobs request against a shared core budget when each
- *  simulation itself runs @p threads_per_sim intra-sim workers
- *  (--threads). An explicit request wins unchanged; jobs==0 ("auto")
- *  divides defaultJobs() by the per-sim thread count so
- *  jobs * threads stays within the host, floored at 1. */
-unsigned resolveJobs(unsigned requested, unsigned threads_per_sim);
-
 /**
  * Run every task, @p jobs at a time (jobs == 0 → defaultJobs()),
  * returning results in task order regardless of scheduling.

@@ -7,7 +7,6 @@
 #ifndef TLR_HARNESS_SYSTEM_HH
 #define TLR_HARNESS_SYSTEM_HH
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "metrics/collector.hh"
 #include "timeline/timeline.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel_kernel.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "trace/checkers.hh"
@@ -64,41 +62,13 @@ struct MachineParams
     /** Transactions listed in the explain report (--explain top-K). */
     unsigned explainTopK = 10;
     /** Attach an EpochTimeline slicing the trace stream into epochs of
-     *  this many cycles (--timeline-epoch, DESIGN.md §14). Same
+     *  this many cycles (--timeline-epoch, DESIGN.md §13). Same
      *  contract as collectMetrics/explain: arms the sink, never
      *  perturbs simulated cycles. 0 (default) = off. */
     Tick timelineEpoch = 0;
     std::uint64_t seed = 12345;
     Tick maxTicks = 2'000'000'000ull; ///< watchdog for livelock studies
 
-    /** Intra-simulation worker threads (DESIGN.md §13). 0 (default)
-     *  keeps the classic single event queue. >= 1 partitions the
-     *  machine into per-CPU + fabric logical processes driven by the
-     *  parallel kernel; results are bit-identical for every value
-     *  >= 1 (threads=1 runs the same partitioned schedule on one
-     *  thread). */
-    unsigned threads = 0;
-    /** Conservative-lookahead override in cycles. 0 derives the
-     *  window size from the timing model:
-     *  min(net.snoopLatency, net.dataLatency), clamped >= 1. Smaller
-     *  values are valid (more barriers, same results; lookahead=1 is
-     *  the stress configuration); requests above the derived bound
-     *  are clamped down — exceeding it would break the
-     *  delivery-horizon guarantee. With dynamic lookahead the derived
-     *  value is only a floor reference: explicit values below it
-     *  still cap the window (stress configs), larger windows come
-     *  from partition promises automatically. */
-    Tick lookahead = 0;
-    /** Coalesce serialized globals per split point and skip/inline
-     *  provably light window segments (DESIGN.md §13). Off = the
-     *  one-barrier-pair-per-global schedule. */
-    bool batchedGlobals = true;
-    /** Protocol-aware dynamic windows from per-partition promises;
-     *  off = fixed worst-case lookahead windows. */
-    bool dynamicLookahead = true;
-    /** Collect host-time phase attribution in the parallel kernel
-     *  (bench_kernel --threads-grid; off in normal runs). */
-    bool profilePhases = false;
 };
 
 class System
@@ -118,19 +88,6 @@ class System
     EventQueue &eventQueue() { return eq_; }
     StatSet &stats() { return stats_; }
     TraceSink &traceSink() { return trace_; }
-    /** The parallel kernel; null in classic (threads == 0) mode. */
-    ParallelKernel *kernel() { return kernel_.get(); }
-    /** Events executed, mode-independent: single queue or the summed
-     *  partition/ordering/global population of the parallel kernel. */
-    std::uint64_t kernelEventsExecuted() const
-    {
-        return kernel_ ? kernel_->eventsExecuted() : eq_.executed();
-    }
-    /** Tick of the last executed event, mode-independent. */
-    Tick simNow() const
-    {
-        return kernel_ ? kernel_->simNow() : eq_.now();
-    }
     /** The attached metrics collector; null unless collectMetrics. */
     MetricsCollector *metrics() { return metrics_.get(); }
     /** The attached explainer; null unless MachineParams::explain. */
@@ -156,10 +113,7 @@ class System
      *  0 unless every core halted. */
     Tick completionTick() const
     {
-        return haltedCount_.load(std::memory_order_relaxed) ==
-                       params_.numCpus
-                   ? completionTick_.load(std::memory_order_relaxed)
-                   : 0;
+        return haltedCount_ == params_.numCpus ? completionTick_ : 0;
     }
 
     /** Schedule an OS preemption: at tick @p when, core @p cpu stops
@@ -175,7 +129,6 @@ class System
     StatSet stats_;
     BackingStore store_;
     TraceSink trace_; ///< before net_/l1s_: they capture its address
-    std::unique_ptr<ParallelKernel> kernel_; ///< null in classic mode
     std::unique_ptr<InvariantRegistry> checkers_;
     std::unique_ptr<MetricsCollector> metrics_;
     std::unique_ptr<Explainer> explain_;
@@ -185,11 +138,8 @@ class System
     std::vector<std::unique_ptr<SpecEngine>> engines_;
     std::vector<std::unique_ptr<L1Controller>> l1s_;
     std::vector<std::unique_ptr<Core>> cores_;
-    /** Halt hooks fire from worker threads in partitioned mode; the
-     *  count is a plain sum and the completion tick a max, so relaxed
-     *  atomics keep both exact and thread-count independent. */
-    std::atomic<int> haltedCount_{0};
-    std::atomic<Tick> completionTick_{0};
+    int haltedCount_ = 0;
+    Tick completionTick_ = 0;
 };
 
 } // namespace tlr

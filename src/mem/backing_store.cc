@@ -15,7 +15,6 @@ BackingStore::readLine(Addr line_addr) const
 void
 BackingStore::writeLine(Addr line_addr, const LineData &data)
 {
-    std::lock_guard<std::mutex> lock(writeMu_);
     lines_[lineAlign(line_addr)] = data;
 }
 

@@ -12,7 +12,6 @@
 #define TLR_MEM_BACKING_STORE_HH
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,12 +33,7 @@ class BackingStore
     /** Read a full line (zero-filled if never written). */
     LineData readLine(Addr line_addr) const;
 
-    /** Overwrite a full line. Thread-safe: under the parallel kernel
-     *  evictions on different partitions may write back concurrently;
-     *  the single-owner invariant guarantees the lines are disjoint,
-     *  but the map itself needs the lock. Reads happen only in the
-     *  serialized phases (ordered supply, post-run validation), with
-     *  a happens-before edge through the window barrier. */
+    /** Overwrite a full line. */
     void writeLine(Addr line_addr, const LineData &data);
 
     /** Functional word access (loader / test support). */
@@ -58,7 +52,6 @@ class BackingStore
     std::uint64_t l2Capacity_;
     std::unordered_map<Addr, LineData> lines_;
     std::unordered_set<Addr> l2Present_;
-    std::mutex writeMu_; ///< guards lines_ against concurrent writeLine
 };
 
 } // namespace tlr

@@ -54,8 +54,8 @@ schemaOf(const JsonValue &doc)
 
 } // namespace
 
-// Matched on the final path component so per-config variants
-// (threads_4_speedup) are covered too.
+// Matched on the suffix of the final path component so prefixed
+// variants (sim_events_per_sec) are covered too.
 bool
 isHostPerfKey(const std::string &key)
 {

@@ -137,11 +137,7 @@ renderManifest(const BundleMeta &meta, const BundleArtifacts &art)
        << ", \"timeline\": " << timelineSchemaVersion
        << ", \"diff_json\": " << diffJsonSchemaVersion << "},\n";
     os << "  \"build\": " << buildMetaJson() << ",\n";
-    os << strfmt("  \"host\": {\"threads\": %u, \"jobs\": %u, "
-                 "\"lookahead\": %llu, \"dir_banks\": %d},\n",
-                 meta.threads, meta.jobs,
-                 static_cast<unsigned long long>(meta.lookahead),
-                 meta.dirBanks);
+    os << strfmt("  \"host\": {\"jobs\": %u},\n", meta.jobs);
     os << "  \"sim\": {\n";
     os << "    \"workload\": " << jsonStr(meta.workload) << ",\n";
     os << "    \"scheme\": " << jsonStr(meta.scheme) << ",\n";

@@ -1,7 +1,7 @@
 /**
  * @file
  * Run-ledger bundles: one self-describing directory per simulation run
- * (DESIGN.md §15).
+ * (DESIGN.md §14).
  *
  * The paper's evaluation is a story told across many runs, but every
  * telemetry subsystem (trace, metrics, explain, timeline) emits an
@@ -30,11 +30,10 @@
  * localization.
  *
  * The manifest separates `sim` fields (deterministic inputs/outputs of
- * the simulation) from `host` fields (--threads, --jobs, lookahead —
- * schedule knobs that must not affect results) and `build` metadata.
- * tools/tlrreport renders only the sim/result/schemas sections, which
- * is what makes the flight report byte-identical across hosts and
- * thread counts by construction.
+ * the simulation) from `host` fields (--jobs, a schedule knob that
+ * must not affect results) and `build` metadata. tools/tlrreport
+ * renders only the sim/result/schemas sections, which is what makes
+ * the flight report byte-identical across hosts by construction.
  */
 
 #ifndef TLR_REPORT_BUNDLE_HH
@@ -81,13 +80,9 @@ struct BundleMeta
     std::uint64_t invariantViolations = 0;
     /** @} */
 
-    /** @{ host: schedule knobs that never change simulated results
-     *  (NOT rendered by tlrreport — byte-determinism contract). */
-    unsigned threads = 0;
+    /** host: sweep pool size; never changes simulated results (NOT
+     *  rendered by tlrreport — byte-determinism contract). */
     unsigned jobs = 0;
-    Tick lookahead = 0;
-    int dirBanks = 1;
-    /** @} */
 };
 
 /** The artifact payloads of one bundle entry. Empty string = absent

@@ -2,15 +2,15 @@
  * @file
  * Flight-report rendering: one self-contained, byte-deterministic
  * HTML page per run bundle, plus cross-run diff and trend pages
- * (DESIGN.md §15).
+ * (DESIGN.md §14).
  *
  * The renderer is a pure function of the bundle's *sim-deterministic*
  * content: the manifest's sim/result/schemas sections, the stats-json
  * counters, and the metrics/timeline sections. It never renders build
- * metadata, host info, thread counts or wall-clock anything, and every
- * SVG coordinate is computed in integer math — so the same simulation
- * produces the same report bytes on any host at any --threads count,
- * which is what makes reports golden-testable (tools/CMakeLists.txt
+ * metadata, host info or wall-clock anything, and every SVG
+ * coordinate is computed in integer math — so the same simulation
+ * produces the same report bytes on any host, which is what makes
+ * reports golden-testable (tools/CMakeLists.txt
  * fixtures, CI golden-report compare).
  *
  * Three pages:
@@ -20,8 +20,7 @@
  *                       markers and causal wait chains, latency
  *                       histograms with p50/p99, hottest locks,
  *                       per-class and per-link interconnect bytes,
- *                       parallel-kernel phase attribution, invariant/
- *                       validator status
+ *                       invariant/validator status
  *   renderDiffHtml      two runs through src/metrics/statdiff: every
  *                       changed key, threshold violations highlighted,
  *                       host-perf keys dimmed, first-diverging-epoch

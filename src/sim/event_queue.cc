@@ -260,73 +260,6 @@ EventQueue::step()
 }
 
 bool
-EventQueue::peekNext(Tick &when, int &prio)
-{
-    EventNode *n = findEarliest();
-    if (!n)
-        return false;
-    when = n->when;
-    prio = n->prio;
-    return true;
-}
-
-void
-EventQueue::runBounded(Tick bound_tick, int bound_prio)
-{
-    for (;;) {
-        EventNode *n = findEarliest();
-        if (!n)
-            return;
-        if (n->when > bound_tick ||
-            (n->when == bound_tick && n->prio >= bound_prio))
-            return;
-        popFound();
-        fire(n);
-    }
-}
-
-std::size_t
-EventQueue::countBelow(Tick bound_tick, int bound_prio,
-                       std::size_t cap) const
-{
-    // Callers peek (or drain) first, so windowBase_ sits at the
-    // earliest pending tick and every event below a near bound is
-    // already in the wheel; while a tick is inside the window its
-    // slot holds events of exactly that tick, so only the slots
-    // covering [windowBase_, bound_tick] need visiting — for the
-    // parallel kernel's segment bounds that is a couple of dozen
-    // slots, not the whole wheel.
-    std::size_t n = 0;
-    Tick wtop = windowBase_ + wheelSlots - 1;
-    if (wtop < windowBase_) // window parked near the Tick ceiling
-        wtop = ~Tick{0};
-    const Tick last = std::min(bound_tick, wtop);
-    for (Tick t = windowBase_; t <= last; ++t) {
-        const std::size_t slot = static_cast<std::size_t>(t) &
-                                 (wheelSlots - 1);
-        if (!(slotOcc_[slot / 64] >> (slot % 64) & 1))
-            continue;
-        const Bucket &b = wheel_[slot];
-        for (int p = 0; p < numPrios; ++p) {
-            if (!(b.occ & (1u << p)))
-                continue;
-            if (t == bound_tick && p >= bound_prio)
-                break;
-            for (const EventNode *e = b.head[p]; e; e = e->next)
-                if (++n >= cap)
-                    return n;
-        }
-    }
-    if (bound_tick >= windowBase_ + wheelSlots)
-        for (const EventNode *e : farHeap_)
-            if ((e->when < bound_tick ||
-                 (e->when == bound_tick && e->prio < bound_prio)) &&
-                ++n >= cap)
-                return n;
-    return n;
-}
-
-bool
 EventQueue::run(Tick maxTick)
 {
     stopRequested_ = false;

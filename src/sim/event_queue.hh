@@ -150,56 +150,6 @@ class EventQueue
     /** Execute exactly one event, if any. @return false when empty. */
     bool step();
 
-    /**
-     * Peek at the earliest pending event without executing it.
-     * @return false when the queue is empty; otherwise fills
-     *         @p when / @p prio with the head event's coordinates.
-     * Used by the parallel kernel to compute the global horizon.
-     */
-    bool peekNext(Tick &when, int &prio);
-
-    /** Tick of the earliest pending event, or ~Tick{0} when empty. */
-    Tick
-    nextTick()
-    {
-        Tick when;
-        int prio;
-        return peekNext(when, prio) ? when : ~Tick{0};
-    }
-
-    /**
-     * Bounded-window execution for the parallel kernel: run events
-     * strictly below the (bound_tick, bound_prio) point, i.e. every
-     * event with when < bound_tick, plus events at bound_tick whose
-     * priority is < bound_prio. Events at or past the bound stay
-     * queued. Deterministic: order is identical to run()'s.
-     */
-    void runBounded(Tick bound_tick, int bound_prio);
-
-    /**
-     * Count pending events strictly below the (bound_tick, bound_prio)
-     * point, stopping early once @p cap is reached. The parallel
-     * kernel sizes segments with this: a segment whose total pending
-     * work is tiny runs inline on the coordinator instead of paying a
-     * worker barrier. Pure inspection — never advances the window.
-     */
-    std::size_t countBelow(Tick bound_tick, int bound_prio,
-                           std::size_t cap) const;
-
-    /**
-     * Advance now() to @p tick without executing anything (no-op if
-     * time is already there). The parallel kernel uses this before a
-     * serialized cross-partition event executes, so callbacks that
-     * schedule relative to now() see the right time. Pre-condition:
-     * no pending event lies below (tick, EventPrio::Snoop) — the
-     * kernel's window bound guarantees it.
-     */
-    void advanceNow(Tick tick)
-    {
-        if (tick > _now)
-            _now = tick;
-    }
-
     /** Request run() to return after the current event completes. */
     void requestStop() { stopRequested_ = true; }
 

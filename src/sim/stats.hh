@@ -45,16 +45,6 @@ class StatSet
      *  `"key": {...}`); the metrics layer adds its section this way. */
     std::string dumpJson(const std::string &extra_sections = "") const;
 
-    /** Accumulate every counter of @p other into this set (parallel
-     *  kernel: per-partition shards merged after the run; merging is
-     *  exact because counters are plain sums). */
-    void
-    mergeFrom(const StatSet &other)
-    {
-        for (const auto &kv : other.all())
-            vals_[kv.first] += kv.second;
-    }
-
     void clear() { vals_.clear(); }
 
   private:

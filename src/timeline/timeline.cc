@@ -23,10 +23,9 @@ EpochTimeline::onRecord(const TraceRecord &r)
 {
     if (finished_)
         return;
-    // The sink delivers records in nondecreasing tick order (classic
-    // mode executes events in tick order; the parallel kernel stitches
-    // capture buffers into tick order before replay), so epoch
-    // boundaries are crossings, never back-fills.
+    // The sink delivers records in nondecreasing tick order (events
+    // execute in tick order), so epoch boundaries are crossings, never
+    // back-fills.
     while (r.tick >= static_cast<Tick>(cur_ + 1) * len_)
         closeEpoch();
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Epoch-sliced telemetry: time-resolved counters and online pathology
- * detection (DESIGN.md §14).
+ * detection (DESIGN.md §13).
  *
  * Every metric the simulator records elsewhere is an end-of-run
  * aggregate, but the paper's interesting behaviors — restart storms
@@ -30,14 +30,9 @@
  *   throughput-collapse commit rate drops below 1/collapseFactor of
  *                       the trailing mean while conflicts continue
  *
- * Thread-count invariance: the timeline is a pure TraceListener on the
- * real sink. The parallel kernel delivers partition capture buffers
- * stitched into (tick, partition, index) order at window barriers and
- * replays them through the real sink (DESIGN.md §13), so the record
- * stream — hence every epoch row and alert — is bit-identical for any
- * --threads >= 1. Offline reconstruction holds for the same reason:
- * replaying a --trace-raw file through a fresh EpochTimeline feeds it
- * the exact online stream, so csv() matches byte-for-byte.
+ * Offline reconstruction: the timeline is a pure TraceListener on the
+ * sink, so replaying a --trace-raw file through a fresh EpochTimeline
+ * feeds it the exact online stream, and csv() matches byte-for-byte.
  *
  * Zero-overhead-off: the timeline only exists when
  * MachineParams::timelineEpoch > 0; otherwise nothing is attached, the
@@ -101,7 +96,7 @@ struct TimelineAlert
 class EpochTimeline : public TraceListener
 {
   public:
-    /** @{ detector constants (referenced by DESIGN.md §14 and the
+    /** @{ detector constants (referenced by DESIGN.md §13 and the
      *  tests; integer math so the decisions are exact). */
     static constexpr unsigned trailingWindow = 8;  ///< epochs of history
     static constexpr std::uint64_t stormFactor = 4;
@@ -135,9 +130,9 @@ class EpochTimeline : public TraceListener
     }
 
     /** The canonical timeline artifact: a '#'-headed CSV of every
-     *  epoch row followed by the alert stream. Byte-identical across
-     *  --threads counts and online/offline reconstruction (the
-     *  acceptance artifact for both). */
+     *  epoch row followed by the alert stream. Byte-identical between
+     *  online recording and offline reconstruction (the acceptance
+     *  artifact). */
     std::string csv() const;
 
     /** The versioned "timeline" JSON section value spliced into

@@ -81,32 +81,6 @@ class TraceSink
     /** Hot-path gate: true when any consumer wants records. */
     bool armed() const { return armed_; }
 
-    /**
-     * Switch this sink into capture mode: emit() buffers records
-     * instead of fanning them out. The parallel kernel gives each
-     * partition a capture sink, then stitches the buffers into tick
-     * order and replays them through the real sink via emitRecord(),
-     * so downstream consumers (ring, checkers, raw-trace writers)
-     * observe exactly the single-threaded stream.
-     */
-    void
-    enableCapture()
-    {
-        capture_ = true;
-        armed_ = true;
-    }
-
-    bool captureEnabled() const { return capture_; }
-    std::vector<TraceRecord> &captured() { return captured_; }
-
-    /** Divert captured records into @p dst's buffer (null restores
-     *  local buffering). The parallel kernel redirects every partition
-     *  sink to one shared serial sink while it executes serialized
-     *  phases (ordering replays, cross-partition globals), so records
-     *  those phases emit keep their exact emission order no matter
-     *  which component — hence which partition sink — emitted them. */
-    void setCaptureRedirect(TraceSink *dst) { redirect_ = dst; }
-
     void
     emit(Tick tick, TraceComp comp, TraceEvent kind, CpuId cpu, Addr addr,
          std::uint64_t a0 = 0, std::uint64_t a1 = 0, std::uint64_t a2 = 0,
@@ -122,26 +96,6 @@ class TraceSink
         r.a1 = a1;
         r.a2 = a2;
         r.a3 = a3;
-        if (capture_) {
-            (redirect_ ? redirect_ : this)->captured_.push_back(r);
-            return;
-        }
-        r.seq = emitted_++;
-        ring_.push(r);
-        if (echo_)
-            std::fprintf(stderr, "%s\n", formatRecord(r).c_str());
-        for (TraceListener *l : listeners_)
-            l->onRecord(r);
-    }
-
-    /** Replay a stitched record through the real fan-out. The global
-     *  emission sequence number is (re)assigned here, so replayed
-     *  streams carry the same seq values a single-threaded run
-     *  emits. */
-    void
-    emitRecord(const TraceRecord &rec)
-    {
-        TraceRecord r = rec;
         r.seq = emitted_++;
         ring_.push(r);
         if (echo_)
@@ -174,11 +128,8 @@ class TraceSink
 
     bool armed_ = false;
     bool echo_ = false;
-    bool capture_ = false;
     TraceRing ring_;
     std::vector<TraceListener *> listeners_;
-    std::vector<TraceRecord> captured_;
-    TraceSink *redirect_ = nullptr;
     std::uint64_t emitted_ = 0;
 };
 

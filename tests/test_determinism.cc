@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,47 +17,13 @@
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "sim/event_queue.hh"
-#include "trace/sink.hh"
 #include "workloads/micro.hh"
-#include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
 using namespace tlr;
 
 namespace
 {
-
-/** Kernel scheduling shape (batched vs per-global segments, dynamic vs
- *  fixed windows, explicit lookahead). Simulated results must not
- *  depend on any of it; only the pkernel.* scheduling counters may. */
-struct WindowPolicy
-{
-    bool batched = true;
-    bool dynamic = true;
-    Tick lookahead = 0;
-};
-
-/** Drop the "pkernel.*" counter lines from a stats dump. Scheduling
- *  policies (window size, batching) legitimately change how many
- *  windows/barriers/segments the kernel ran, so cross-policy
- *  comparisons strip them; everything else must stay byte-identical.
- *  Same-policy thread-count comparisons keep the full dump. */
-std::string
-stripPkernel(const std::string &json)
-{
-    std::string out;
-    out.reserve(json.size());
-    std::size_t pos = 0;
-    while (pos < json.size()) {
-        std::size_t eol = json.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = json.size() - 1;
-        if (json.find("\"pkernel.", pos) >= eol)
-            out.append(json, pos, eol - pos + 1);
-        pos = eol + 1;
-    }
-    return out;
-}
 
 MicroParams
 microParams(Scheme s, int cpus, std::uint64_t ops)
@@ -87,41 +52,6 @@ statsJson(Scheme s, int cpus, std::uint64_t ops)
     installWorkload(sys, makeSingleCounter(microParams(s, cpus, ops)));
     EXPECT_TRUE(sys.run());
     return sys.stats().dumpJson();
-}
-
-// One run on the parallel kernel; returns "cycles\n<stats json>" so a
-// single string equality covers both the simulated-time result and
-// every counter. Pass @p raw to also collect the trace-file record
-// stream the run produced.
-std::string
-parallelFingerprint(Scheme s, Protocol proto, int cpus, std::uint64_t ops,
-                    unsigned threads, WindowPolicy pol = {},
-                    std::vector<TraceRecord> *raw = nullptr)
-{
-    MachineParams mp = machineParams(s, cpus);
-    mp.protocol = proto;
-    mp.threads = threads;
-    mp.lookahead = pol.lookahead;
-    mp.batchedGlobals = pol.batched;
-    mp.dynamicLookahead = pol.dynamic;
-    System sys(mp);
-    struct Collector : TraceListener
-    {
-        std::vector<TraceRecord> *out;
-        void onRecord(const TraceRecord &r) override
-        {
-            out->push_back(r);
-        }
-    } col;
-    if (raw) {
-        col.out = raw;
-        sys.addTraceListener(&col);
-    }
-    installWorkload(sys, makeSingleCounter(microParams(s, cpus, ops)));
-    EXPECT_TRUE(sys.run());
-    return std::to_string(sys.completionTick()) + "/" +
-           std::to_string(sys.kernelEventsExecuted()) + "\n" +
-           sys.stats().dumpJson();
 }
 
 } // namespace
@@ -178,225 +108,6 @@ TEST(Determinism, FullRunStatsJsonStableAcrossRepeats)
     EXPECT_EQ(a.commits, b.commits);
     EXPECT_EQ(a.restarts, b.restarts);
     EXPECT_EQ(a.kernelEvents, b.kernelEvents);
-}
-
-// DESIGN.md §13 hard requirement: the partitioned kernel's results
-// are bit-identical for every worker count, per scheme and protocol.
-// The schedule (windows, barriers, commit order) depends only on the
-// configuration, so threads=2/4/8 must reproduce threads=1 exactly —
-// simulated cycles, event population and every counter.
-TEST(ParallelDeterminism, ThreadCountBitIdenticalAllSchemes)
-{
-    for (Scheme s : {Scheme::Base, Scheme::BaseSle, Scheme::BaseSleTlr,
-                     Scheme::TlrStrictTs, Scheme::Mcs}) {
-        for (Protocol proto : {Protocol::Broadcast, Protocol::Directory}) {
-            std::string base =
-                parallelFingerprint(s, proto, 4, 128, 1);
-            for (unsigned t : {2u, 4u, 8u}) {
-                EXPECT_EQ(base, parallelFingerprint(s, proto, 4, 128, t))
-                    << schemeName(s) << " proto "
-                    << (proto == Protocol::Directory ? "dir" : "bus")
-                    << " threads " << t;
-            }
-        }
-    }
-}
-
-TEST(ParallelDeterminism, LookaheadOneStressBitIdentical)
-{
-    // lookahead=1 maximizes barrier count — every window is a single
-    // tick wide. More synchronization, identical results. The window
-    // policy differs from the default run, so the pkernel scheduling
-    // counters are stripped; thread counts within the stress policy
-    // still compare the full dump.
-    WindowPolicy one;
-    one.lookahead = 1;
-    for (Protocol proto : {Protocol::Broadcast, Protocol::Directory}) {
-        std::string base = stripPkernel(
-            parallelFingerprint(Scheme::BaseSleTlr, proto, 4, 128, 1));
-        std::string stress1 =
-            parallelFingerprint(Scheme::BaseSleTlr, proto, 4, 128, 1, one);
-        std::string stress4 =
-            parallelFingerprint(Scheme::BaseSleTlr, proto, 4, 128, 4, one);
-        EXPECT_EQ(stress1, stress4); // same policy: full-dump identity
-        EXPECT_EQ(base, stripPkernel(stress1));
-        EXPECT_EQ(base, stripPkernel(stress4));
-    }
-}
-
-// Satellite of the batched/dynamic overhaul: every combination of the
-// scheduling knobs produces the same simulated cycles, event
-// population, stats (minus the pkernel scheduling counters) and the
-// same raw trace byte stream — the policies change host scheduling
-// shape only. Within each policy, thread counts stay fully
-// bit-identical including the pkernel counters.
-TEST(ParallelDeterminism, WindowPolicyMatrixInvariant)
-{
-    const WindowPolicy policies[] = {
-        {true, true, 0},   // default: batched + dynamic
-        {false, false, 0}, // compat: the PR 7 schedule
-        {true, false, 0},  // batched segments, fixed windows
-        {false, true, 0},  // per-global segments, dynamic windows
-    };
-    for (Protocol proto : {Protocol::Broadcast, Protocol::Directory}) {
-        std::vector<TraceRecord> baseRaw;
-        std::string base = parallelFingerprint(
-            Scheme::BaseSleTlr, proto, 4, 128, 1, policies[0], &baseRaw);
-        ASSERT_FALSE(baseRaw.empty());
-        for (const WindowPolicy &pol : policies) {
-            std::vector<TraceRecord> raw;
-            std::string one = parallelFingerprint(
-                Scheme::BaseSleTlr, proto, 4, 128, 1, pol, &raw);
-            EXPECT_EQ(stripPkernel(base), stripPkernel(one))
-                << "batched=" << pol.batched
-                << " dynamic=" << pol.dynamic;
-            ASSERT_EQ(baseRaw.size(), raw.size());
-            for (std::size_t i = 0; i < raw.size(); ++i) {
-                ASSERT_EQ(0, std::memcmp(&baseRaw[i], &raw[i],
-                                         sizeof(TraceRecord)))
-                    << "raw trace diverges at record " << i
-                    << " batched=" << pol.batched
-                    << " dynamic=" << pol.dynamic;
-            }
-            for (unsigned t : {2u, 4u, 8u}) {
-                EXPECT_EQ(one, parallelFingerprint(Scheme::BaseSleTlr,
-                                                   proto, 4, 128, t, pol))
-                    << "threads " << t << " batched=" << pol.batched
-                    << " dynamic=" << pol.dynamic;
-            }
-        }
-    }
-}
-
-// Compat-policy twin of ThreadCountBitIdenticalAllSchemes: with
-// batching and dynamic windows disabled the kernel must still be
-// bit-identical for every worker count across the scheme matrix.
-TEST(ParallelDeterminism, CompatPolicyThreadBitIdenticalAllSchemes)
-{
-    WindowPolicy compat{false, false, 0};
-    for (Scheme s : {Scheme::Base, Scheme::BaseSle, Scheme::BaseSleTlr,
-                     Scheme::TlrStrictTs, Scheme::Mcs}) {
-        for (Protocol proto : {Protocol::Broadcast, Protocol::Directory}) {
-            std::string base =
-                parallelFingerprint(s, proto, 4, 128, 1, compat);
-            for (unsigned t : {2u, 4u, 8u}) {
-                EXPECT_EQ(base,
-                          parallelFingerprint(s, proto, 4, 128, t, compat))
-                    << schemeName(s) << " proto "
-                    << (proto == Protocol::Directory ? "dir" : "bus")
-                    << " threads " << t;
-            }
-        }
-    }
-}
-
-TEST(ParallelDeterminism, OversizedLookaheadClampedNotFatal)
-{
-    // Requests past min(snoopLatency, dataLatency) are clamped to the
-    // derived bound, so the result matches the default window size.
-    WindowPolicy oversized;
-    oversized.lookahead = 1'000'000;
-    std::string base = parallelFingerprint(Scheme::BaseSleTlr,
-                                           Protocol::Broadcast, 4, 128, 2);
-    EXPECT_EQ(base, parallelFingerprint(Scheme::BaseSleTlr,
-                                        Protocol::Broadcast, 4, 128, 2,
-                                        oversized));
-}
-
-TEST(ParallelDeterminism, DbWorkloadBitIdentical)
-{
-    WorkloadParams wp;
-    wp.numCpus = 4;
-    wp.ops = 48;
-    wp.seed = 7;
-    auto fp = [&](unsigned threads, WindowPolicy pol = {}) {
-        MachineParams mp = machineParams(Scheme::BaseSleTlr, 4);
-        mp.threads = threads;
-        mp.batchedGlobals = pol.batched;
-        mp.dynamicLookahead = pol.dynamic;
-        wp.lockKind = schemeLockKind(Scheme::BaseSleTlr);
-        System sys(mp);
-        installWorkload(sys, makeRegisteredWorkload("ycsb-a", wp));
-        EXPECT_TRUE(sys.run());
-        return std::to_string(sys.completionTick()) + "\n" +
-               sys.stats().dumpJson();
-    };
-    std::string base = fp(1);
-    EXPECT_EQ(base, fp(2));
-    EXPECT_EQ(base, fp(8));
-    // Compat window policy: same simulated results on the db workload,
-    // thread-count identity within the policy.
-    WindowPolicy compat{false, false, 0};
-    std::string compatBase = fp(1, compat);
-    EXPECT_EQ(compatBase, fp(4, compat));
-    EXPECT_EQ(stripPkernel(base), stripPkernel(compatBase));
-}
-
-// The acceptance artifact for the timeline subsystem: the same
-// --timeline-epoch run at any thread count emits a byte-identical CSV
-// (epoch rows AND the alert stream), because the timeline is a pure
-// listener on the stitched record stream. Classic mode (threads=0) is
-// held to the same bytes — the partitioned schedule replays the same
-// record sequence the single queue produces.
-TEST(ParallelDeterminism, TimelineCsvBitIdenticalAcrossThreads)
-{
-    WorkloadParams wp;
-    wp.numCpus = 8;
-    wp.ops = 64;
-    wp.seed = 7;
-    auto csv = [&](unsigned threads) {
-        MachineParams mp = machineParams(Scheme::BaseSleTlr, 8);
-        mp.threads = threads;
-        mp.timelineEpoch = 1500;
-        wp.lockKind = schemeLockKind(Scheme::BaseSleTlr);
-        System sys(mp);
-        installWorkload(sys, makeRegisteredWorkload("ycsb-a", wp));
-        EXPECT_TRUE(sys.run());
-        return sys.timeline()->csv();
-    };
-    std::string base = csv(1);
-    EXPECT_FALSE(base.empty());
-    EXPECT_EQ(base, csv(2));
-    EXPECT_EQ(base, csv(4));
-    EXPECT_EQ(base, csv(8));
-    EXPECT_EQ(base, csv(0)); // classic kernel, same record stream
-}
-
-// Attaching the timeline must not move a single event: cycles and
-// every stats counter stay bit-identical to a timeline-off run, on
-// both the classic and the partitioned kernel.
-TEST(ParallelDeterminism, TimelineOffOnSameSimulatedResults)
-{
-    auto fp = [&](unsigned threads, Tick epoch) {
-        MachineParams mp = machineParams(Scheme::BaseSleTlr, 4);
-        mp.threads = threads;
-        mp.timelineEpoch = epoch;
-        System sys(mp);
-        installWorkload(sys, makeSingleCounter(
-                                 microParams(Scheme::BaseSleTlr, 4,
-                                             2048)));
-        EXPECT_TRUE(sys.run());
-        return std::to_string(sys.completionTick()) + "\n" +
-               sys.stats().dumpJson();
-    };
-    EXPECT_EQ(fp(0, 0), fp(0, 1000));
-    EXPECT_EQ(fp(4, 0), fp(4, 1000));
-}
-
-TEST(ParallelDeterminism, WatchdogBitIdenticalAcrossThreads)
-{
-    auto fp = [&](unsigned threads) {
-        MachineParams mp = machineParams(Scheme::BaseSleTlr, 4);
-        mp.threads = threads;
-        mp.maxTicks = 3000; // cut the run short
-        System sys(mp);
-        installWorkload(
-            sys, makeSingleCounter(
-                     microParams(Scheme::BaseSleTlr, 4, 100000)));
-        EXPECT_FALSE(sys.run()); // watchdog, not completion
-        return sys.stats().dumpJson();
-    };
-    EXPECT_EQ(fp(1), fp(4));
 }
 
 TEST(EventPool, SmallCapturesStayInline)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Run-ledger bundle and flight-report tests (src/report/,
- * DESIGN.md §15): manifest round-trip, deterministic ledger
+ * DESIGN.md §14): manifest round-trip, deterministic ledger
  * sequencing, cross-schema refusal, SVG edge cases (empty, single
  * point, single bucket), zero-epoch timeline rendering, bundles
  * without a raw trace, trend first-regressing-run localization
@@ -63,7 +63,7 @@ sampleMeta()
     m.completed = true;
     m.valid = true;
     m.cycles = 12345;
-    m.threads = 4;
+    m.jobs = 4;
     return m;
 }
 
@@ -125,8 +125,8 @@ TEST(Bundle, ManifestRoundTrip)
     EXPECT_EQ(resolvePath(doc, "result.cycles")->number, 12345);
     EXPECT_TRUE(resolvePath(doc, "result.completed")->boolean);
     // Host-schedule knobs live in their own section, never in sim.
-    EXPECT_EQ(resolvePath(doc, "host.threads")->number, 4);
-    EXPECT_EQ(resolvePath(doc, "sim.threads"), nullptr);
+    EXPECT_EQ(resolvePath(doc, "host.jobs")->number, 4);
+    EXPECT_EQ(resolvePath(doc, "sim.jobs"), nullptr);
     // Every schema version the bundle depends on is recorded.
     EXPECT_EQ(resolvePath(doc, "schemas.stats_json")->number,
               statsSchemaVersion);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Epoch-timeline unit and end-to-end tests (src/timeline/,
- * DESIGN.md §14): epoch rollup arithmetic, each online detector fired
+ * DESIGN.md §13): epoch rollup arithmetic, each online detector fired
  * from a synthetic stream, offline reconstruction byte-identity
  * against a recorded raw trace, epoch sums matching the StatSet
  * whole-run totals, and the timeline-off zero-perturbation contract.

@@ -15,8 +15,7 @@
  * regressed metric (trend).
  *
  * Byte-determinism contract: for the same simulation config and seed,
- * the emitted HTML is identical on any host at any --threads value —
- * enforced by ctest fixtures and the CI golden-report compare.
+ * the emitted HTML is identical on any host — enforced by ctest fixtures and the CI golden-report compare.
  */
 
 #include <cstdio>

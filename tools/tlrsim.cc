@@ -75,13 +75,7 @@ struct Options
     std::string statsJson;   // JSON counter dump destination ("-" = stdout)
     std::string benchJson;   // per-config host-perf dump ("-" = stdout)
     std::string reportDir;   // run-ledger directory; "" = no bundle
-    unsigned jobs = 0;       // 0 = auto (see resolveJobs)
-    unsigned threads = 0;    // intra-sim workers; 0 = classic kernel
-    Tick lookahead = 0;      // 0 = derive from the timing model
-    int dirBanks = 1;        // directory banks (address-interleaved)
-    bool batchedGlobals = true;  // coalesced serialized phases
-    bool dynamicLookahead = true; // promise-driven window bounds
-    bool snoopFilter = true; // elide snoops to stateless controllers
+    unsigned jobs = 0;       // 0 = auto (hardware concurrency)
     size_t ringCapacity = 4096;
     std::string statsPrefix; // empty = no dump; "all" = everything
     Tick maxTicks = 2'000'000'000ull;
@@ -105,28 +99,7 @@ usage()
         "                      than one (scheme, cpus) combination\n"
         "                      runs as a host-parallel sweep\n"
         "  --jobs=N|auto       host threads for a sweep; auto (the\n"
-        "                      default) divides the hardware\n"
-        "                      concurrency by --threads so the two\n"
-        "                      levels share one core budget\n"
-        "  --threads=N|auto    worker threads inside each simulation\n"
-        "                      (parallel kernel; DESIGN.md §13).\n"
-        "                      Default 0 = classic single-queue\n"
-        "                      kernel; any N >= 1 is bit-identical to\n"
-        "                      every other N >= 1. auto = hardware\n"
-        "                      concurrency, or 0 (classic) on a\n"
-        "                      single-core host\n"
-        "  --lookahead=N       conservative window override in cycles\n"
-        "                      (0 = derive from the timing model;\n"
-        "                      smaller = more barriers, same results)\n"
-        "  --dir-banks=N       directory banks, address-interleaved\n"
-        "                      by line; bank-local work runs in the\n"
-        "                      owning partition (default 1)\n"
-        "  --no-batched-globals  one barrier pair per serialized\n"
-        "                      global (PR-7 compat schedule)\n"
-        "  --no-dynamic-lookahead  fixed worst-case windows instead\n"
-        "                      of promise-driven bounds\n"
-        "  --no-snoop-filter   snoop every controller, even ones\n"
-        "                      holding no state for the line\n"
+        "                      default) = hardware concurrency\n"
         "  --ops=N             total operations / iterations per cpu\n"
         "  --seed=N            deterministic RNG seed\n"
         "  --theta=X           db workloads: Zipfian key skew in\n"
@@ -183,12 +156,11 @@ usage()
         "                      throughput-collapse alerts (report on\n"
         "                      stdout, \"timeline\" section in\n"
         "                      --stats-json, counter tracks in\n"
-        "                      --trace-out; DESIGN.md §14)\n"
+        "                      --trace-out; DESIGN.md §13)\n"
         "  --timeline-out=FILE write the per-epoch rows and alert\n"
-        "                      stream as CSV (byte-identical across\n"
-        "                      --threads counts and to tlrquery\n"
-        "                      --timeline offline reconstruction;\n"
-        "                      '-' = stdout)\n"
+        "                      stream as CSV (byte-identical to\n"
+        "                      tlrquery --timeline offline\n"
+        "                      reconstruction; '-' = stdout)\n"
         "  --progress          one stderr status line refreshed per\n"
         "                      epoch (needs --timeline-epoch);\n"
         "                      auto-disabled when stderr is not a TTY\n"
@@ -274,12 +246,6 @@ buildMachineParams(const Options &o, Scheme scheme, int cpus)
     mp.seed = o.seed;
     mp.maxTicks = o.maxTicks;
     mp.collectMetrics = o.metrics;
-    mp.threads = o.threads;
-    mp.lookahead = o.lookahead;
-    mp.net.dirBanks = o.dirBanks;
-    mp.net.snoopFilter = o.snoopFilter;
-    mp.batchedGlobals = o.batchedGlobals;
-    mp.dynamicLookahead = o.dynamicLookahead;
     mp.timelineEpoch = o.timelineEpoch;
     return mp;
 }
@@ -590,10 +556,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
             bm.valid = valid;
             bm.cycles = sys.completionTick();
             bm.invariantViolations = s.get("trace", "violations");
-            bm.threads = o.threads;
             bm.jobs = o.jobs;
-            bm.lookahead = o.lookahead;
-            bm.dirBanks = o.dirBanks;
 
             BundleArtifacts art;
             art.statsJson = statsDoc;
@@ -622,7 +585,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
         row.stats.completed = completed;
         row.stats.valid = valid;
         row.stats.cycles = sys.completionTick();
-        row.stats.kernelEvents = sys.kernelEventsExecuted();
+        row.stats.kernelEvents = sys.eventQueue().executed();
         row.wallSec = wallSec;
         writeBenchJson(o, {row});
     }
@@ -677,7 +640,7 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
                      r.completed = sys.run();
                      r.valid = wl.validate ? wl.validate(sys) : true;
                      r.cycles = sys.completionTick();
-                     r.kernelEvents = sys.kernelEventsExecuted();
+                     r.kernelEvents = sys.eventQueue().executed();
                      r.commits = sys.stats().sum("spec", "commits");
                      r.restarts = sys.stats().sum("spec", "restarts");
                      if (sys.metrics())
@@ -692,14 +655,11 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
         }
     }
 
-    // --jobs and --threads share one core budget: an unspecified jobs
-    // count is divided by the per-simulation worker count.
-    unsigned jobs = resolveJobs(o.jobs, o.threads);
+    unsigned jobs = o.jobs ? o.jobs : defaultJobs();
     std::fprintf(rpt,
                  "sweep: %zu configs of workload=%s on %u host "
-                 "thread(s), %u intra-sim worker(s) each\n",
-                 tasks.size(), o.workload.c_str(), jobs,
-                 o.threads ? o.threads : 1);
+                 "thread(s)\n",
+                 tasks.size(), o.workload.c_str(), jobs);
     std::vector<SweepResult> res = runSweep(tasks, jobs);
 
     Table t({"scheme", "cpus", "completed", "valid", "cycles",
@@ -780,34 +740,6 @@ main(int argc, char **argv)
             o.jobs = v == "auto" ?
                          0 :
                          static_cast<unsigned>(std::atoi(v.c_str()));
-        else if (parseFlag(a, "--threads", v)) {
-            if (v == "auto") {
-                // On a single-core host the partitioned kernel would
-                // only add barrier overhead; fall back to the classic
-                // single-queue kernel and say so.
-                unsigned hw = defaultJobs();
-                o.threads = hw > 1 ? hw : 0;
-                std::fprintf(stderr,
-                             "tlrsim: --threads=auto resolved to %u "
-                             "(hardware concurrency %u%s)\n",
-                             o.threads, hw,
-                             hw > 1 ? "" :
-                                      "; single core -> classic kernel");
-            } else {
-                o.threads =
-                    static_cast<unsigned>(std::atoi(v.c_str()));
-            }
-        }
-        else if (parseFlag(a, "--lookahead", v))
-            o.lookahead = std::strtoull(v.c_str(), nullptr, 0);
-        else if (parseFlag(a, "--dir-banks", v))
-            o.dirBanks = std::atoi(v.c_str());
-        else if (std::strcmp(a, "--no-batched-globals") == 0)
-            o.batchedGlobals = false;
-        else if (std::strcmp(a, "--no-dynamic-lookahead") == 0)
-            o.dynamicLookahead = false;
-        else if (std::strcmp(a, "--no-snoop-filter") == 0)
-            o.snoopFilter = false;
         else if (parseFlag(a, "--ops", v))
             o.ops = std::strtoull(v.c_str(), nullptr, 0);
         else if (parseFlag(a, "--seed", v))
