@@ -1,7 +1,9 @@
 /**
  * @file
  * Classic-kernel golden: pinned simulated results for every scheme x
- * protocol x micro-workload at 4 CPUs / 128 ops.
+ * protocol x micro-workload at 4 CPUs / 128 ops, plus TLR hash-kv on
+ * a shrunken L1 whose transactions spill into the victim cache and
+ * overflow it (the victim-insert and victim-full fallback paths).
  *
  * A configuration maps to exactly one simulated machine. Each row pins
  * the completion tick, the executed event count, the speculation and
@@ -74,6 +76,11 @@ struct GoldenRow
     std::uint64_t busTxns;
     std::uint64_t records;
     std::uint64_t digest;
+    /** L1 geometry; the defaults are MachineParams' (paper Table 2). */
+    std::uint64_t l1Bytes = L1Params{}.sizeBytes;
+    unsigned victimEntries = L1Params{}.victimEntries;
+    std::uint64_t victimInserts = 0;
+    std::uint64_t victimFullAborts = 0;
 };
 
 const char *
@@ -114,19 +121,27 @@ const GoldenRow kGolden[] = {
     {Scheme::Mcs, B, "dlist", 48264, 109211, 0, 0, 2001, 13915, 0x583790320c8be2ull},
     {Scheme::Mcs, D, "single-counter", 15044, 26936, 0, 0, 776, 6438, 0xe1e19e61f5aff99ull},
     {Scheme::Mcs, D, "dlist", 47048, 108395, 0, 0, 2001, 16438, 0xeddc5d853815c0d9ull},
+    {Scheme::BaseSleTlr, B, "hash-kv", 45100, 34055, 139, 47, 2733, 17375, 0xa1e6f2f012c01eabull, 4096, 2, 32, 45},
+    {Scheme::BaseSleTlr, D, "hash-kv", 45335, 37166, 135, 48, 2839, 18888, 0xf40d1f1183ed82d5ull, 4096, 2, 29, 46},
 };
 // clang-format on
 
-// Five schemes x two protocols x two workloads.
-static_assert(std::size(kGolden) == 20, "golden covers every config");
+// Five schemes x two protocols x two workloads, plus the two
+// victim-cache rows.
+static_assert(std::size(kGolden) == 22, "golden covers every config");
 
 GoldenRow
-runRow(Scheme s, Protocol p, const char *workload)
+runRow(const GoldenRow &want)
 {
+    const Scheme s = want.scheme;
+    const Protocol p = want.protocol;
+    const char *workload = want.workload;
     MachineParams mp;
     mp.numCpus = 4;
     mp.protocol = p;
     mp.spec = schemeSpecConfig(s);
+    mp.l1.sizeBytes = want.l1Bytes;
+    mp.l1.victimEntries = want.victimEntries;
     WorkloadParams wp;
     wp.numCpus = 4;
     wp.ops = 128;
@@ -148,6 +163,10 @@ runRow(Scheme s, Protocol p, const char *workload)
     out.busTxns = sys.stats().get("bus", "transactions");
     out.records = dig.records;
     out.digest = dig.h;
+    out.l1Bytes = want.l1Bytes;
+    out.victimEntries = want.victimEntries;
+    out.victimInserts = sys.stats().sum("l1_", "victimInserts");
+    out.victimFullAborts = sys.stats().sum("spec", "abort.victim-full");
     return out;
 }
 
@@ -167,7 +186,22 @@ rowText(const GoldenRow &r)
                   static_cast<unsigned long long>(r.busTxns),
                   static_cast<unsigned long long>(r.records),
                   static_cast<unsigned long long>(r.digest));
-    return buf;
+    std::string text = buf;
+    // Rows on the default geometry that never touch the victim cache
+    // omit the trailing fields.
+    const GoldenRow dflt{};
+    if (r.l1Bytes != dflt.l1Bytes || r.victimEntries != dflt.victimEntries ||
+        r.victimInserts || r.victimFullAborts) {
+        text.pop_back(); // the closing "},"
+        text.pop_back();
+        std::snprintf(buf, sizeof buf, ", %llu, %u, %llu, %llu},",
+                      static_cast<unsigned long long>(r.l1Bytes),
+                      r.victimEntries,
+                      static_cast<unsigned long long>(r.victimInserts),
+                      static_cast<unsigned long long>(r.victimFullAborts));
+        text += buf;
+    }
+    return text;
 }
 
 } // namespace
@@ -175,7 +209,20 @@ rowText(const GoldenRow &r)
 TEST(ClassicGolden, EveryConfigMatchesPinnedRow)
 {
     for (const GoldenRow &want : kGolden) {
-        GoldenRow got = runRow(want.scheme, want.protocol, want.workload);
+        GoldenRow got = runRow(want);
         EXPECT_EQ(rowText(got), rowText(want));
     }
+}
+
+TEST(ClassicGolden, VictimRowsReachTheVictimCacheAndOverflowIt)
+{
+    unsigned victimRows = 0;
+    for (const GoldenRow &want : kGolden) {
+        if (want.victimEntries == GoldenRow{}.victimEntries)
+            continue;
+        ++victimRows;
+        EXPECT_GT(want.victimInserts, 0u) << want.workload;
+        EXPECT_GT(want.victimFullAborts, 0u) << want.workload;
+    }
+    EXPECT_EQ(victimRows, 2u);
 }
