@@ -396,7 +396,7 @@ L1Controller::access(const CacheOp &op)
             ++hits_;
             array_.touch(*l, eq_.now());
             if (op.spec)
-                l->accessRead = true;
+                markRead(*l);
             if (op.isLl) {
                 linkValid_ = true;
                 linkLine_ = la;
@@ -435,7 +435,7 @@ L1Controller::access(const CacheOp &op)
         if (l && isWritableState(l->state)) {
             ++hits_;
             array_.touch(*l, eq_.now());
-            l->accessWrite = true;
+            markWrite(*l);
             // The current word value is returned so speculative
             // atomics can read-modify-write through the write buffer.
             if (op.spec && TLR_TRACE_ARMED(trace_))
@@ -685,7 +685,7 @@ L1Controller::handleOwnerSnoop(CacheLine &line, const BusRequest &req,
                              req.ts.clock, packTsMeta(req.ts));
             ++defers_;
             deferred_.push_back({la, req.requester, req.type, req.ts});
-            line.pinned = true;
+            pin(line);
             if (TLR_TRACE_ARMED(trace_))
                 trace_->emit(eq_.now(), TraceComp::L1,
                              TraceEvent::CohDeferDepth, id_, 0,
@@ -892,7 +892,7 @@ L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
       case CacheOp::Kind::LoadExclusive: {
         std::uint64_t v = line ? line->data[wi] : data[wi];
         if (op.spec && line)
-            line->accessRead = true;
+            markRead(*line);
         if (op.isLl && line) {
             linkValid_ = true;
             linkLine_ = lineAlign(op.addr);
@@ -918,7 +918,7 @@ L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
       case CacheOp::Kind::EnsureExclusive:
         if (!line || !isWritableState(line->state))
             panic("l1 %d: ensureX fill without write permission", id_);
-        line->accessWrite = true;
+        markWrite(*line);
         if (op.spec && TLR_TRACE_ARMED(trace_))
             trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::TxnRead,
                          id_, op.addr, line->data[wi]);
@@ -1005,7 +1005,7 @@ L1Controller::dataResponse(const DataMsg &msg)
     for (const Waiter &w : m.waiters) {
         if (keepDeferring) {
             deferred_.push_back({msg.line, w.cpu, w.type, w.ts});
-            l->pinned = true;
+            pin(*l);
         } else {
             serviceWaiter(w, msg.line);
         }
@@ -1169,6 +1169,66 @@ L1Controller::probe(const ProbeMsg &msg)
 //
 
 void
+L1Controller::markRead(CacheLine &line)
+{
+    if (!line.inTransaction())
+        txnLines_.push_back(line.addr);
+    line.accessRead = true;
+}
+
+void
+L1Controller::markWrite(CacheLine &line)
+{
+    if (!line.inTransaction())
+        txnLines_.push_back(line.addr);
+    line.accessWrite = true;
+}
+
+void
+L1Controller::pin(CacheLine &line)
+{
+    if (!line.pinned)
+        pinnedLines_.push_back(line.addr);
+    line.pinned = true;
+}
+
+/** Apply @p fn to the array and victim copies of a line, by address.
+ *  Deliberately the pure finds, not findLine(): lazy promotion would
+ *  move victim lines, and a boundary must leave the cache's layout
+ *  exactly as it found it. */
+template <class Fn>
+void
+L1Controller::forEachCopy(Addr line_addr, Fn &&fn)
+{
+    if (CacheLine *l = array_.find(line_addr))
+        fn(*l);
+    if (CacheLine *v = victim_.find(line_addr))
+        fn(*v);
+}
+
+void
+L1Controller::checkBoundaryClear() const
+{
+#ifndef NDEBUG
+    // Debug builds only: the footprint lists must have covered every
+    // line the transaction marked or pinned.
+    auto leaked = [](const CacheLine &l) {
+        return l.inTransaction() || l.pinned;
+    };
+    const CacheLine *l = array_.firstValid(leaked);
+    for (const CacheLine &v : victim_.entries())
+        if (!l && isValidState(v.state) && leaked(v))
+            l = &v;
+    if (l)
+        panic("l1 %d: line %#llx keeps r=%d w=%d pinned=%d past a "
+              "transaction boundary",
+              id_, static_cast<unsigned long long>(l->addr),
+              l->accessRead ? 1 : 0, l->accessWrite ? 1 : 0,
+              l->pinned ? 1 : 0);
+#endif
+}
+
+void
 L1Controller::commitTransaction(const WriteBuffer &wb)
 {
     for (const auto &[la, entry] : wb.entries()) {
@@ -1186,10 +1246,7 @@ L1Controller::commitTransaction(const WriteBuffer &wb)
             }
         l->state = CohState::Modified;
     }
-    array_.forEachValid([](CacheLine &l) { l.clearAccess(); });
-    for (auto &v : victim_.entries())
-        v.clearAccess();
-    serviceDeferredQueue(/*at_commit=*/true);
+    endTransaction(/*at_commit=*/true);
 }
 
 void
@@ -1202,15 +1259,15 @@ L1Controller::abortTransaction()
         if (m.queuedOp && m.queuedOp->spec)
             m.queuedOp.reset();
     }
-    array_.forEachValid([](CacheLine &l) { l.clearAccess(); });
-    for (auto &v : victim_.entries())
-        v.clearAccess();
-    serviceDeferredQueue(/*at_commit=*/false);
+    endTransaction(/*at_commit=*/false);
 }
 
 void
-L1Controller::serviceDeferredQueue(bool at_commit)
+L1Controller::endTransaction(bool at_commit)
 {
+    for (Addr la : txnLines_)
+        forEachCopy(la, [](CacheLine &l) { l.clearAccess(); });
+    txnLines_.clear();
     if (!deferred_.empty() && TLR_TRACE_ARMED(trace_))
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohDeferDrain,
                      id_, 0, deferred_.size(), at_commit ? 1 : 0);
@@ -1228,9 +1285,10 @@ L1Controller::serviceDeferredQueue(bool at_commit)
     probeHints_.clear();
     yieldArmed_ = false;
     ++yieldGen_;
-    array_.forEachValid([](CacheLine &l) { l.pinned = false; });
-    for (auto &v : victim_.entries())
-        v.pinned = false;
+    for (Addr la : pinnedLines_)
+        forEachCopy(la, [](CacheLine &l) { l.pinned = false; });
+    pinnedLines_.clear();
+    checkBoundaryClear();
 }
 
 //
@@ -1284,7 +1342,7 @@ L1Controller::markTransactionalRead(Addr addr)
     if (!l)
         panic("l1 %d: markTransactionalRead on absent line %#llx", id_,
               static_cast<unsigned long long>(addr));
-    l->accessRead = true;
+    markRead(*l);
 }
 
 void
@@ -1295,7 +1353,7 @@ L1Controller::markTransactionalWrite(Addr addr)
         panic("l1 %d: markTransactionalWrite needs a writable line "
               "%#llx",
               id_, static_cast<unsigned long long>(addr));
-    l->accessWrite = true;
+    markWrite(*l);
 }
 
 void
@@ -1343,6 +1401,16 @@ L1Controller::peekWord(Addr addr) const
 {
     const CacheLine *l = findLineConst(lineAlign(addr));
     return l ? l->data[wordIndex(addr)] : 0;
+}
+
+const CacheLine *
+L1Controller::peekLine(Addr addr, bool *in_victim) const
+{
+    const Addr la = lineAlign(addr);
+    const CacheLine *l = array_.find(la);
+    if (in_victim)
+        *in_victim = !l && victim_.find(la);
+    return l ? l : victim_.find(la);
 }
 
 } // namespace tlr

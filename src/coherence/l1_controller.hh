@@ -118,6 +118,12 @@ class L1Controller : public Snooper
      *  marked deferred in MSHRs (metrics counter-track sampling). */
     std::uint64_t deferredDepth() const;
     std::uint64_t peekWord(Addr addr) const;
+    /** Pure lookup of a resident line (array, then victim cache)
+     *  without lazy promotion; @p in_victim reports where it sits. */
+    const CacheLine *peekLine(Addr addr, bool *in_victim = nullptr) const;
+    /** Entries in the transaction footprint lists (unit tests). */
+    size_t txnLineCount() const { return txnLines_.size(); }
+    size_t pinnedLineCount() const { return pinnedLines_.size(); }
 
   private:
     struct Waiter
@@ -178,12 +184,19 @@ class L1Controller : public Snooper
                           SnoopReply &reply);
     void serviceWaiter(const Waiter &w, Addr line_addr,
                        ServiceCause cause = ServiceCause::Chain);
-    void serviceDeferredQueue(bool at_commit);
+    /** Shared tail of commit and abort: clear the footprint's access
+     *  bits, service the deferred queue, then unpin. */
+    void endTransaction(bool at_commit);
     bool deferredExclusive(Addr line_addr) const;
     void clearLinkIf(Addr line_addr);
     bool conflicts(const BusRequest &req, bool read_set,
                    bool write_set) const;
     bool winsConflict(const Timestamp &incoming) const;
+    void markRead(CacheLine &line);
+    void markWrite(CacheLine &line);
+    void pin(CacheLine &line);
+    template <class Fn> void forEachCopy(Addr line_addr, Fn &&fn);
+    void checkBoundaryClear() const;
     /** @} */
 
     EventQueue &eq_;
@@ -199,6 +212,16 @@ class L1Controller : public Snooper
     VictimCache victim_;
     std::map<Addr, Mshr> mshrs_;
     std::deque<DeferredReq> deferred_;
+
+    /** Transaction footprint: the address of every line whose access
+     *  bits went from clear to set (txnLines_) or that a deferral
+     *  pinned (pinnedLines_) since the last commit or abort. The
+     *  boundary clears exactly these lines, so it costs O(lines
+     *  touched) instead of a walk over the whole L1 (DESIGN.md §8).
+     *  Addresses, not pointers: lines move between the array and the
+     *  victim cache by copy. */
+    std::vector<Addr> txnLines_;
+    std::vector<Addr> pinnedLines_;
 
     /** Earliest probe timestamp seen per held line. A probe that is
      *  relax-ignored (we were single-block at the time) must not lose

@@ -25,14 +25,15 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways)
     numSets_ = static_cast<unsigned>(size_bytes / (ways * lineBytes));
     if (!isPow2(numSets_))
         fatal("cache set count %u not a power of two", numSets_);
-    lines_.resize(static_cast<size_t>(numSets_) * ways_);
+    sets_.resize(numSets_);
 }
 
 CacheLine *
 CacheArray::find(Addr line_addr)
 {
-    CacheLine *base = &lines_[static_cast<size_t>(setIndex(line_addr)) *
-                              ways_];
+    CacheLine *base = sets_[setIndex(line_addr)].get();
+    if (!base)
+        return nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
         CacheLine &l = base[w];
         if (isValidState(l.state) && l.addr == line_addr)
@@ -50,8 +51,10 @@ CacheArray::find(Addr line_addr) const
 CacheLine *
 CacheArray::allocateSlot(Addr line_addr)
 {
-    CacheLine *base = &lines_[static_cast<size_t>(setIndex(line_addr)) *
-                              ways_];
+    std::unique_ptr<CacheLine[]> &set = sets_[setIndex(line_addr)];
+    if (!set)
+        set = std::make_unique<CacheLine[]>(ways_);
+    CacheLine *base = set.get();
     CacheLine *victim = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
         CacheLine &l = base[w];
@@ -63,14 +66,6 @@ CacheArray::allocateSlot(Addr line_addr)
             victim = &l;
     }
     return victim;
-}
-
-void
-CacheArray::forEachValid(const std::function<void(CacheLine &)> &fn)
-{
-    for (auto &l : lines_)
-        if (isValidState(l.state))
-            fn(l);
 }
 
 } // namespace tlr

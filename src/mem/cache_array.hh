@@ -7,7 +7,7 @@
 #define TLR_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "mem/line.hh"
@@ -47,8 +47,18 @@ class CacheArray
     unsigned numSets() const { return numSets_; }
     unsigned numWays() const { return ways_; }
 
-    /** Iterate all valid lines (snoop conflict scans in tests, dumps). */
-    void forEachValid(const std::function<void(CacheLine &)> &fn);
+    /** First valid line satisfying @p pred, or nullptr. Walks every
+     *  set: O(capacity), for debug-build checks only. */
+    template <class Pred>
+    const CacheLine *
+    firstValid(Pred &&pred) const
+    {
+        for (const auto &set : sets_)
+            for (unsigned w = 0; set && w < ways_; ++w)
+                if (isValidState(set[w].state) && pred(set[w]))
+                    return &set[w];
+        return nullptr;
+    }
 
   private:
     unsigned setIndex(Addr line_addr) const
@@ -59,7 +69,11 @@ class CacheArray
 
     unsigned ways_;
     unsigned numSets_;
-    std::vector<CacheLine> lines_; // numSets_ * ways_, set-major
+    /** The ways of each set, allocated (all invalid) when the set first
+     *  receives a line. A run touches a small share of the sets, and
+     *  zero-filling every line up front was about half the host time
+     *  of building a System. */
+    std::vector<std::unique_ptr<CacheLine[]>> sets_;
 };
 
 } // namespace tlr

@@ -65,13 +65,15 @@ const char *cohStateName(CohState s);
  */
 struct CacheLine
 {
+    // The one-byte fields sit together between the words and the
+    // payload, so the line carries 4 bytes of padding instead of 20.
     Addr addr = 0;                 ///< line-aligned address (tag)
+    std::uint64_t lastUse = 0;     ///< LRU timestamp
     CohState state = CohState::Invalid;
-    LineData data{};
     bool accessRead = false;       ///< speculatively read in transaction
     bool accessWrite = false;      ///< speculatively written in transaction
-    std::uint64_t lastUse = 0;     ///< LRU timestamp
     bool pinned = false;           ///< ineligible for eviction (MSHR/defer)
+    LineData data{};
 
     bool inTransaction() const { return accessRead || accessWrite; }
 
@@ -90,6 +92,8 @@ struct CacheLine
         pinned = false;
     }
 };
+
+static_assert(sizeof(CacheLine) <= 88, "CacheLine fields are padded");
 
 } // namespace tlr
 

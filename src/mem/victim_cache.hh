@@ -43,7 +43,7 @@ class VictimCache
     size_t size() const { return entries_.size(); }
     unsigned capacity() const { return capacity_; }
 
-    std::vector<CacheLine> &entries() { return entries_; }
+    const std::vector<CacheLine> &entries() const { return entries_; }
 
   private:
     unsigned capacity_;

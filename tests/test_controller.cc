@@ -4,8 +4,8 @@
  * the controller directly (two controllers on a real broadcast
  * interconnect + memory) and check the TLR decision logic — deferral
  * vs restart by timestamp, un-timestamped request policy, strict-mode
- * enforcement, deferred-queue service at commit/abort — without the
- * core/engine stack on top.
+ * enforcement, deferred-queue service at commit/abort, the
+ * transaction footprint lists — without the core/engine stack on top.
  */
 
 #include <gtest/gtest.h>
@@ -79,10 +79,11 @@ struct Rig
     BroadcastInterconnect net{eq, stats, InterconnectParams{}};
     MemoryController mem{eq, stats, net, store, MemParams{}};
     FakeHooks hooks0, hooks1;
-    L1Controller l1a{eq, stats, 0, L1Params{}, net, mem, hooks0};
-    L1Controller l1b{eq, stats, 1, L1Params{}, net, mem, hooks1};
+    L1Params l1Params;
+    L1Controller l1a{eq, stats, 0, l1Params, net, mem, hooks0};
+    L1Controller l1b{eq, stats, 1, l1Params, net, mem, hooks1};
 
-    Rig()
+    explicit Rig(L1Params p = L1Params{}) : l1Params(p)
     {
         net.setMemory(&mem);
         net.addSnooper(&l1a);
@@ -276,4 +277,212 @@ TEST(Controller, DebugStateRendersMshrsAndDeferred)
     r.eq.run(2'000);
     std::string dump = r.l1a.debugState();
     EXPECT_NE(dump.find("DEFERRED"), std::string::npos);
+}
+
+//
+// ---- transaction footprint lists ---------------------------------------
+//
+
+namespace
+{
+
+/** 4 KB, 4 ways: 16 sets, so lines 1 KB apart share a set. */
+L1Params
+smallL1()
+{
+    L1Params p;
+    p.sizeBytes = 4 * 1024;
+    return p;
+}
+
+constexpr Addr setStride = 0x400;
+
+/** The line at @p addr carries no access bit and no pin (or is gone). */
+bool
+boundaryClear(const L1Controller &c, Addr addr)
+{
+    const CacheLine *l = c.peekLine(addr);
+    return !l || (!l->inTransaction() && !l->pinned);
+}
+
+} // namespace
+
+TEST(Controller, FootprintRecordsEachLineOnce)
+{
+    Rig r;
+    const Addr lineB = lineA + lineBytes;
+    r.hooks0.spec = r.hooks0.tlr = true;
+    r.hooks0.ts = Timestamp::make(1, 0);
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA, 0, true);
+    r.run();
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineA, 0, true); // hit
+    r.run();
+    r.l1a.markTransactionalRead(lineA);
+    r.l1a.markTransactionalWrite(lineA); // Exclusive: writable
+    EXPECT_EQ(r.l1a.txnLineCount(), 1u);
+    r.access(r.l1a, CacheOp::Kind::LoadShared, lineB, 0, true);
+    r.run();
+    EXPECT_EQ(r.l1a.txnLineCount(), 2u);
+    EXPECT_EQ(r.l1a.pinnedLineCount(), 0u);
+    r.hooks0.spec = false;
+    r.l1a.commitTransaction(WriteBuffer(4));
+    EXPECT_EQ(r.l1a.txnLineCount(), 0u);
+    EXPECT_TRUE(boundaryClear(r.l1a, lineA));
+    EXPECT_TRUE(boundaryClear(r.l1a, lineB));
+}
+
+TEST(Controller, BoundaryClearsArrayVictimPromotedAndPinnedLines)
+{
+    for (bool commit : {true, false}) {
+        SCOPED_TRACE(commit ? "commit" : "abort");
+        Rig r(smallL1());
+        // T0..T4 and N share one set; O sits in another.
+        Addr t[5];
+        for (unsigned k = 0; k < 5; ++k)
+            t[k] = lineA + setStride * k;
+        const Addr n = lineA + setStride * 5;
+        const Addr o = lineA + lineBytes;
+        r.access(r.l1a, CacheOp::Kind::LoadShared, o);
+        r.run();
+        const CacheLine before = *r.l1a.peekLine(o);
+
+        r.hooks0.spec = r.hooks0.tlr = true;
+        r.hooks0.ts = Timestamp::make(1, 0);
+        for (unsigned k = 0; k < 3; ++k) {
+            r.access(r.l1a, CacheOp::Kind::LoadShared, t[k], 0, true);
+            r.run();
+        }
+        r.access(r.l1a, CacheOp::Kind::LoadShared, n); // not in the txn
+        r.run();
+        // The set is full: T3 spills T0 and T4 spills T1 (LRU order)
+        // into the victim cache with their access bits.
+        for (unsigned k = 3; k < 5; ++k) {
+            r.access(r.l1a, CacheOp::Kind::LoadShared, t[k], 0, true);
+            r.run();
+        }
+        bool inVictim = false;
+        ASSERT_NE(r.l1a.peekLine(t[0], &inVictim), nullptr);
+        EXPECT_TRUE(inVictim);
+        EXPECT_TRUE(r.l1a.peekLine(t[0])->accessRead);
+        ASSERT_NE(r.l1a.peekLine(t[1], &inVictim), nullptr);
+        EXPECT_TRUE(inVictim);
+
+        // A remote store to N frees a way; touching T0 again promotes
+        // it back into the array, access bit and all.
+        r.access(r.l1b, CacheOp::Kind::Store, n, 5);
+        r.run();
+        EXPECT_EQ(r.l1a.peekLine(n), nullptr);
+        r.access(r.l1a, CacheOp::Kind::LoadShared, t[0], 0, true);
+        r.run();
+        ASSERT_NE(r.l1a.peekLine(t[0], &inVictim), nullptr);
+        EXPECT_FALSE(inVictim);
+        EXPECT_TRUE(r.l1a.peekLine(t[0])->accessRead);
+        EXPECT_EQ(r.l1a.txnLineCount(), 5u);
+
+        // Deferred readers pin T2 in the array and T1 in the victim
+        // cache (reads conflict only with the write set).
+        r.l1a.markTransactionalWrite(t[2]);
+        r.l1a.markTransactionalWrite(t[1]);
+        EXPECT_EQ(r.l1a.txnLineCount(), 5u);
+        r.access(r.l1b, CacheOp::Kind::LoadShared, t[2]);
+        r.access(r.l1b, CacheOp::Kind::LoadShared, t[1]);
+        r.eq.run(2'000);
+        ASSERT_EQ(r.l1a.deferredCount(), 2u);
+        EXPECT_EQ(r.l1a.pinnedLineCount(), 2u);
+        EXPECT_TRUE(r.l1a.peekLine(t[2])->pinned);
+        ASSERT_NE(r.l1a.peekLine(t[1], &inVictim), nullptr);
+        EXPECT_TRUE(inVictim);
+        EXPECT_TRUE(r.l1a.peekLine(t[1])->pinned);
+
+        r.hooks0.spec = false;
+        if (commit)
+            r.l1a.commitTransaction(WriteBuffer(4));
+        else
+            r.l1a.abortTransaction();
+        r.run();
+        EXPECT_EQ(r.hooks1.completions.size(), 3u); // store + 2 reads
+        EXPECT_EQ(r.l1a.txnLineCount(), 0u);
+        EXPECT_EQ(r.l1a.pinnedLineCount(), 0u);
+        for (Addr a : t)
+            EXPECT_TRUE(boundaryClear(r.l1a, a)) << std::hex << a;
+        // The boundary moved nothing: T1 still sits in the victim
+        // cache, T0 in the array.
+        ASSERT_NE(r.l1a.peekLine(t[1], &inVictim), nullptr);
+        EXPECT_TRUE(inVictim);
+        ASSERT_NE(r.l1a.peekLine(t[0], &inVictim), nullptr);
+        EXPECT_FALSE(inVictim);
+        // The line outside the footprint is untouched.
+        const CacheLine *after = r.l1a.peekLine(o);
+        ASSERT_NE(after, nullptr);
+        EXPECT_EQ(after->state, before.state);
+        EXPECT_EQ(after->lastUse, before.lastUse);
+        EXPECT_EQ(after->data, before.data);
+
+        // A second transaction spills T4 into the victim cache, then a
+        // remote store frees a way in its set. The boundary clears T4
+        // where it sits, without promoting it, and leaves T1 (outside
+        // this footprint) as it was.
+        const CacheLine victimBefore = *r.l1a.peekLine(t[1]);
+        r.hooks0.spec = true;
+        for (Addr a : {t[4], t[2], t[0]}) {
+            r.access(r.l1a, CacheOp::Kind::LoadShared, a, 0, true);
+            r.run();
+        }
+        r.access(r.l1a, CacheOp::Kind::LoadShared, t[3]); // T4 is LRU
+        r.run();
+        r.access(r.l1a, CacheOp::Kind::LoadShared, lineA + setStride * 6,
+                 0, true);
+        r.run();
+        ASSERT_NE(r.l1a.peekLine(t[4], &inVictim), nullptr);
+        EXPECT_TRUE(inVictim);
+        EXPECT_TRUE(r.l1a.peekLine(t[4])->accessRead);
+        r.access(r.l1b, CacheOp::Kind::Store, t[3], 7);
+        r.run();
+        EXPECT_EQ(r.l1a.peekLine(t[3]), nullptr);
+        EXPECT_EQ(r.l1a.txnLineCount(), 4u);
+        r.hooks0.spec = false;
+        if (commit)
+            r.l1a.commitTransaction(WriteBuffer(4));
+        else
+            r.l1a.abortTransaction();
+        EXPECT_EQ(r.l1a.txnLineCount(), 0u);
+        ASSERT_NE(r.l1a.peekLine(t[4], &inVictim), nullptr);
+        EXPECT_TRUE(inVictim);
+        EXPECT_TRUE(boundaryClear(r.l1a, t[4]));
+        ASSERT_NE(r.l1a.peekLine(t[1], &inVictim), nullptr);
+        EXPECT_TRUE(inVictim);
+        EXPECT_EQ(r.l1a.peekLine(t[1])->state, victimBefore.state);
+        EXPECT_EQ(r.l1a.peekLine(t[1])->lastUse, victimBefore.lastUse);
+    }
+}
+
+TEST(Controller, FootprintListsEmptyAfterEveryBoundary)
+{
+    Rig r;
+    const Addr lineB = lineA + lineBytes;
+    r.hooks0.tlr = true;
+    for (unsigned i = 0; i < 1000; ++i) {
+        r.hooks0.spec = true;
+        r.hooks0.ts = Timestamp::make(i + 1, 0);
+        r.access(r.l1a, CacheOp::Kind::EnsureExclusive, lineA, 0, true);
+        r.access(r.l1a, CacheOp::Kind::LoadShared, lineB, 0, true);
+        r.run();
+        // An un-timestamped reader is deferred and pins the line.
+        r.access(r.l1b, CacheOp::Kind::LoadShared, lineA);
+        r.eq.run(r.eq.now() + 200);
+        ASSERT_EQ(r.l1a.deferredCount(), 1u) << i;
+        ASSERT_EQ(r.l1a.txnLineCount(), 2u) << i;
+        ASSERT_EQ(r.l1a.pinnedLineCount(), 1u) << i;
+        r.hooks0.spec = false;
+        if (i % 2)
+            r.l1a.commitTransaction(WriteBuffer(4));
+        else
+            r.l1a.abortTransaction();
+        r.run();
+        ASSERT_EQ(r.l1a.txnLineCount(), 0u) << i;
+        ASSERT_EQ(r.l1a.pinnedLineCount(), 0u) << i;
+        ASSERT_TRUE(boundaryClear(r.l1a, lineA)) << i;
+        ASSERT_TRUE(boundaryClear(r.l1a, lineB)) << i;
+    }
+    EXPECT_EQ(r.hooks1.completions.size(), 1000u);
 }

@@ -34,6 +34,7 @@ TEST(CacheArray, FindAfterInstall)
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->data[3], 99u);
     EXPECT_EQ(c.find(0x2000), nullptr);
+    EXPECT_EQ(c.find(0x1040), nullptr); // a set that never held a line
 }
 
 TEST(CacheArray, LruVictimSelection)
