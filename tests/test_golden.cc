@@ -5,6 +5,14 @@
  * a shrunken L1 whose transactions spill into the victim cache and
  * overflow it (the victim-insert and victim-full fallback paths).
  *
+ * Telemetry golden: FNV-1a digests of every output the five trace
+ * listeners render (explain text in all three modes, explain JSON and
+ * DOT, metrics JSON and summary, timeline CSV and report, the raw
+ * trace file's bytes and the checkers' violation warnings) for TLR
+ * runs of single-counter, dlist, tpcc-lite, reverse-writers (wait
+ * cycles, deep causal chains and, with a short stuck bound, deferral-
+ * cycle violations) and a 72-CPU single-counter.
+ *
  * A configuration maps to exactly one simulated machine. Each row pins
  * the completion tick, the executed event count, the speculation and
  * bus counters and an FNV-1a digest of the full trace record stream a
@@ -17,11 +25,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
+#include "explain/explain.hh"
+#include "explain/rawtrace.hh"
 #include "harness/scheme.hh"
 #include "harness/system.hh"
+#include "metrics/collector.hh"
+#include "timeline/timeline.hh"
 #include "trace/sink.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
@@ -204,6 +218,131 @@ rowText(const GoldenRow &r)
     return text;
 }
 
+/** FNV-1a (64-bit) over the bytes of @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** One TLR run with every listener attached, and the digest of each
+ *  output it renders. */
+struct TelemetryRow
+{
+    const char *workload;
+    int cpus;
+    std::uint64_t ops;
+    double theta;
+    Tick cycleStuckTicks; ///< 0 = the checker's derived bound
+    std::uint64_t violations;
+    std::uint64_t explainTxn;
+    std::uint64_t explainLock;
+    std::uint64_t explainCpu;
+    std::uint64_t explainJson;
+    std::uint64_t explainDot;
+    std::uint64_t metricsJson;
+    std::uint64_t metricsSummary;
+    std::uint64_t timelineCsv;
+    std::uint64_t timelineReport;
+    std::uint64_t rawTrace;
+    std::uint64_t warnings;
+};
+
+// clang-format off
+const TelemetryRow kTelemetry[] = {
+    {"single-counter", 8, 512, 0.6, 0, 0, 0x88ccc50ac2322da4ull, 0xa5c2b8cd1e772594ull, 0x6001a94dd6d2f4cfull, 0x67f719acb88cd6b4ull, 0x5b296734ceb5871ull, 0x2a66222914b98c26ull, 0x8d795efdf3fa00c7ull, 0xfa77c6c01a5067c3ull, 0x26d15f84d5f64d57ull, 0x395d13515e83355cull, 0xcbf29ce484222325ull},
+    {"dlist", 8, 256, 0.6, 0, 0, 0x527a691483619cfcull, 0x985d6f8d53dbe642ull, 0x67d807946ccedcc5ull, 0x7457768695158269ull, 0x3722c1f5ee622016ull, 0x2736e4151a506df5ull, 0x247c2190e2403cf1ull, 0x478ac15eb76e869cull, 0xf243da7e016426b0ull, 0x4310fafe0c68407cull, 0xcbf29ce484222325ull},
+    {"tpcc-lite", 8, 48, 0.99, 0, 0, 0xad776fab735ad772ull, 0xf1e931253cc21e2aull, 0xdfa2190a6376122cull, 0x41067dcf7eeda3f7ull, 0xe8f971aef2c49865ull, 0x1032299a302a092bull, 0x2f2d759fe4282c12ull, 0xfd4e45842d7ed806ull, 0x732ca971ed38baf4ull, 0x50a7dd16c2631ddfull, 0xcbf29ce484222325ull},
+    {"reverse-writers", 4, 24, 0.6, 0, 0, 0xe1dec9c6e1c974c7ull, 0x25ef8d09aa0a78aull, 0x454ff93799d5eeb2ull, 0xc60cc2e49572e166ull, 0xd3e37369cc8e24b8ull, 0x2b59c53423de046eull, 0x261105bf02686342ull, 0x5ae30c09f3994079ull, 0xc89957dbda44081bull, 0xa12f9cf24c43316full, 0xcbf29ce484222325ull},
+    {"reverse-writers", 8, 16, 0.6, 300, 4, 0x2e6e33eaebca0edeull, 0x74d5e56291bb2eefull, 0x74972ff390925db4ull, 0xd500ec4d089c5b3ull, 0xed5c5d772a363ec0ull, 0x652c3f7151182a9full, 0x6db2b90de5ec85e0ull, 0xb545c9baac5afe79ull, 0x96ad3e4cf7bd1279ull, 0x908ac6d620565f0bull, 0xf356c2b65643d903ull},
+    {"single-counter", 72, 256, 0.6, 0, 0, 0x4ee88c6345ebbbabull, 0xd82a6485f98fd41cull, 0x8895815f2976d78ull, 0xc7d8833d24f05ad0ull, 0xda3fb3d99a6f9d59ull, 0xdd00ad246463414bull, 0x78da96f21d5fb495ull, 0x7d701c858dfb6549ull, 0xd98fed3da0647216ull, 0xc27c7b2b4ea925afull, 0xcbf29ce484222325ull},
+    {"reverse-writers", 72, 4, 0.6, 20, 4, 0x5e697452c1f301eull, 0xa6f722157a663c0cull, 0xb1806c54ead6f0e1ull, 0xf1c7c4b5a16578faull, 0xed4d342e140402b5ull, 0xbcde0a85d461caddull, 0x8f7b85eafb69f38dull, 0xa6bb700c4f5f18f3ull, 0x52b70f7543144bb3ull, 0x7fb61c0dfe727cb1ull, 0x8bd2673f64afc490ull},
+};
+// clang-format on
+
+TelemetryRow
+runTelemetryRow(const TelemetryRow &want)
+{
+    MachineParams mp;
+    mp.numCpus = want.cpus;
+    mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
+    mp.trace.ringCapacity = 4096;
+    mp.trace.checkInvariants = true;
+    mp.trace.keepGoingOnViolation = true;
+    mp.trace.cycleStuckTicks = want.cycleStuckTicks;
+    mp.collectMetrics = true;
+    mp.explain = true;
+    mp.timelineEpoch = 1000;
+    WorkloadParams wp;
+    wp.numCpus = want.cpus;
+    wp.ops = want.ops;
+    wp.theta = want.theta;
+    wp.lockKind = schemeLockKind(Scheme::BaseSleTlr);
+    Workload wl = makeRegisteredWorkload(want.workload, wp);
+
+    const std::string rawPath = testing::TempDir() + "golden_telemetry.bin";
+    System sys(mp);
+    RawTraceWriter raw;
+    EXPECT_EQ(raw.open(rawPath), "");
+    sys.addTraceListener(&raw);
+    installWorkload(sys, wl);
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(sys.run());
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(wl.validate(sys));
+    raw.close();
+    std::ifstream in(rawPath, std::ios::binary);
+    std::stringstream rawBytes;
+    rawBytes << in.rdbuf();
+
+    TelemetryRow out = want;
+    const Explainer &ex = *sys.explainer();
+    out.violations = sys.stats().get("trace", "violations");
+    out.explainTxn = fnv1a(ex.report(ExplainMode::Txn));
+    out.explainLock = fnv1a(ex.report(ExplainMode::Lock));
+    out.explainCpu = fnv1a(ex.report(ExplainMode::Cpu));
+    out.explainJson = fnv1a(ex.json());
+    out.explainDot = fnv1a(ex.dot());
+    out.metricsJson = fnv1a(sys.metrics()->snapshot().json());
+    out.metricsSummary = fnv1a(sys.metrics()->snapshot().summary());
+    out.timelineCsv = fnv1a(sys.timeline()->csv());
+    out.timelineReport = fnv1a(sys.timeline()->report());
+    out.rawTrace = fnv1a(rawBytes.str());
+    out.warnings = fnv1a(warnings);
+    return out;
+}
+
+std::string
+telemetryRowText(const TelemetryRow &r)
+{
+    char buf[640];
+    std::snprintf(
+        buf, sizeof buf,
+        "{\"%s\", %d, %llu, %g, %llu, %llu, 0x%llxull, 0x%llxull, "
+        "0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull, "
+        "0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull},",
+        r.workload, r.cpus, static_cast<unsigned long long>(r.ops),
+        r.theta, static_cast<unsigned long long>(r.cycleStuckTicks),
+        static_cast<unsigned long long>(r.violations),
+        static_cast<unsigned long long>(r.explainTxn),
+        static_cast<unsigned long long>(r.explainLock),
+        static_cast<unsigned long long>(r.explainCpu),
+        static_cast<unsigned long long>(r.explainJson),
+        static_cast<unsigned long long>(r.explainDot),
+        static_cast<unsigned long long>(r.metricsJson),
+        static_cast<unsigned long long>(r.metricsSummary),
+        static_cast<unsigned long long>(r.timelineCsv),
+        static_cast<unsigned long long>(r.timelineReport),
+        static_cast<unsigned long long>(r.rawTrace),
+        static_cast<unsigned long long>(r.warnings));
+    return buf;
+}
+
 } // namespace
 
 TEST(ClassicGolden, EveryConfigMatchesPinnedRow)
@@ -225,4 +364,12 @@ TEST(ClassicGolden, VictimRowsReachTheVictimCacheAndOverflowIt)
         EXPECT_GT(want.victimFullAborts, 0u) << want.workload;
     }
     EXPECT_EQ(victimRows, 2u);
+}
+
+TEST(TelemetryGolden, EveryListenerOutputMatchesPinnedDigest)
+{
+    for (const TelemetryRow &want : kTelemetry) {
+        TelemetryRow got = runTelemetryRow(want);
+        EXPECT_EQ(telemetryRowText(got), telemetryRowText(want));
+    }
 }
