@@ -1,8 +1,8 @@
 #include "explain/explain.hh"
 
 #include <algorithm>
+#include <array>
 #include <map>
-#include <set>
 
 #include "sim/logging.hh"
 
@@ -12,8 +12,6 @@ namespace tlr
 namespace
 {
 
-constexpr unsigned maxChainHops = 8;
-
 std::string
 fmtU(std::uint64_t v)
 {
@@ -22,29 +20,48 @@ fmtU(std::uint64_t v)
 
 } // namespace
 
-std::vector<ChainLink>
-Explainer::chainFor(const TxnInstance &t) const
+template <typename Fn>
+unsigned
+Explainer::walkChain(const TxnInstance &t, Fn &&hop) const
 {
-    std::vector<ChainLink> out;
-    std::set<std::pair<std::int16_t, std::uint64_t>> visited;
+    // At most maxChainHops instances are ever visited, so the cycle
+    // check is a scan of a fixed array.
+    std::array<std::pair<std::int16_t, std::uint64_t>, maxChainHops>
+        visited;
+    unsigned hops = 0;
     const TxnInstance *cur = &t;
-    while (cur && out.size() < maxChainHops) {
-        if (!visited.insert({cur->cpu, cur->serial}).second)
+    while (cur && hops < maxChainHops) {
+        const std::pair<std::int16_t, std::uint64_t> key{cur->cpu,
+                                                         cur->serial};
+        if (std::find(visited.begin(), visited.begin() + hops, key) !=
+            visited.begin() + hops)
             break; // wait cycle: stop rather than loop forever
+        visited[hops] = key;
         if (cur->longestDeferSpan == 0 || cur->longestDeferOwner < 0)
             break;
         const TxnInstance *owner = path_.instanceAt(
             cur->longestDeferOwner, cur->longestDeferTick);
-        ChainLink link;
-        link.waiter = cur->name();
-        link.owner = owner ? owner->name()
-                           : "cpu" + std::to_string(cur->longestDeferOwner);
-        link.ownerCpu = cur->longestDeferOwner;
-        link.line = cur->longestDeferLine;
-        link.waitTicks = cur->longestDeferSpan;
-        out.push_back(link);
+        hop(*cur, owner);
+        ++hops;
         cur = owner;
     }
+    return hops;
+}
+
+std::vector<ChainLink>
+Explainer::chainFor(const TxnInstance &t) const
+{
+    std::vector<ChainLink> out;
+    walkChain(t, [&](const TxnInstance &cur, const TxnInstance *owner) {
+        ChainLink link;
+        link.waiter = cur.name();
+        link.owner = owner ? owner->name()
+                           : "cpu" + std::to_string(cur.longestDeferOwner);
+        link.ownerCpu = cur.longestDeferOwner;
+        link.line = cur.longestDeferLine;
+        link.waitTicks = cur.longestDeferSpan;
+        out.push_back(link);
+    });
     return out;
 }
 
@@ -53,23 +70,27 @@ Explainer::maxChainDepth() const
 {
     unsigned best = 0;
     for (const TxnInstance &t : path_.instances())
-        best = std::max(best,
-                        static_cast<unsigned>(chainFor(t).size()));
+        best = std::max(best, walkChain(t, [](const TxnInstance &,
+                                              const TxnInstance *) {}));
     return best;
 }
 
 std::vector<const TxnInstance *>
-Explainer::ranked() const
+Explainer::ranked(size_t k) const
 {
     std::vector<const TxnInstance *> v;
+    v.reserve(path_.instances().size());
     for (const TxnInstance &t : path_.instances())
         v.push_back(&t);
-    std::sort(v.begin(), v.end(),
-              [](const TxnInstance *a, const TxnInstance *b) {
-                  if (a->delay() != b->delay())
-                      return a->delay() > b->delay();
-                  return a->serial < b->serial;
-              });
+    k = std::min(k, v.size());
+    std::partial_sort(v.begin(), v.begin() + static_cast<long>(k),
+                      v.end(),
+                      [](const TxnInstance *a, const TxnInstance *b) {
+                          if (a->delay() != b->delay())
+                              return a->delay() > b->delay();
+                          return a->serial < b->serial;
+                      });
+    v.resize(k);
     return v;
 }
 
@@ -104,8 +125,9 @@ Explainer::report(ExplainMode mode) const
 
     if (mode == ExplainMode::Lock) {
         s += "\nper-lock/line contention (by total wait):\n";
-        std::vector<std::pair<Addr, LineContention>> rows(
-            graph_.lines().begin(), graph_.lines().end());
+        const std::map<Addr, LineContention> lines = graph_.lines();
+        std::vector<std::pair<Addr, LineContention>> rows(lines.begin(),
+                                                          lines.end());
         std::sort(rows.begin(), rows.end(),
                   [](const auto &a, const auto &b) {
                       if (a.second.waitTicks != b.second.waitTicks)
@@ -156,7 +178,7 @@ Explainer::report(ExplainMode mode) const
     }
 
     s += strfmt("\ntop %u delayed transactions:\n", topK_);
-    std::vector<const TxnInstance *> v = ranked();
+    std::vector<const TxnInstance *> v = ranked(topK_);
     unsigned n = 0;
     for (const TxnInstance *t : v) {
         if (t->delay() == 0)

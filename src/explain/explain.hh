@@ -89,7 +89,17 @@ class Explainer : public TraceListener
     const CriticalPathAccountant &paths() const { return path_; }
 
   private:
-    std::vector<const TxnInstance *> ranked() const;
+    static constexpr unsigned maxChainHops = 8;
+
+    /** Follow @p t's longest deferral to the owner instance live at
+     *  that tick, then the owner's, calling hop(waiter, owner-or-null)
+     *  per link; stops at a repeated instance, a transaction that
+     *  never waited, or maxChainHops links. @return the link count. */
+    template <typename Fn>
+    unsigned walkChain(const TxnInstance &t, Fn &&hop) const;
+    /** The @p k most-delayed instances (delay descending, then
+     *  serial), in that order. */
+    std::vector<const TxnInstance *> ranked(size_t k) const;
 
     ConflictGraphBuilder graph_;
     CriticalPathAccountant path_;

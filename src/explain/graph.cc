@@ -1,24 +1,39 @@
 #include "explain/graph.hh"
 
 #include <algorithm>
-#include <functional>
 
 namespace tlr
 {
+
+const std::vector<ConflictGraphBuilder::Pending> &
+ConflictGraphBuilder::pendingOf(std::int16_t cpu) const
+{
+    static const std::vector<Pending> none;
+    return cpu >= 0 && static_cast<size_t>(cpu) < pending_.size()
+               ? pending_[static_cast<size_t>(cpu)]
+               : none;
+}
 
 void
 ConflictGraphBuilder::addDefer(const TraceRecord &r, bool relaxed)
 {
     auto waiter = static_cast<std::int16_t>(r.a0);
-    std::pair<Addr, std::int16_t> key{r.addr, waiter};
-    auto it = pending_.find(key);
-    if (it != pending_.end()) {
+    if (waiter < 0)
+        return;
+    LineState &ls = lines_[r.addr];
+    std::vector<Pending> &mine = cpuSlot(pending_, waiter);
+    auto it = lowerBound(mine, r.addr);
+    if (it != mine.end() && it->line == r.addr) {
         // The same waiter re-deferred on the same line without an
         // intervening service record: close the stale edge here so
         // spans never overlap.
-        edges_[it->second].end = r.tick;
-        pending_.erase(it);
+        edges_[it->edge].end = r.tick;
+    } else {
+        it = mine.insert(it, Pending{r.addr, 0});
+        ++ls.waiters;
     }
+    it->edge = edges_.size();
+
     DeferEdge e;
     e.waiter = waiter;
     e.owner = r.cpu;
@@ -27,20 +42,13 @@ ConflictGraphBuilder::addDefer(const TraceRecord &r, bool relaxed)
     e.end = r.tick;
     e.relaxed = relaxed;
     e.waiterTs = unpackTs(r.a2, r.a3);
-    pending_[key] = edges_.size();
     edges_.push_back(e);
 
-    LineContention &lc = lines_[r.addr];
+    LineContention &lc = ls.contention;
     ++lc.defers;
     if (relaxed)
         ++lc.relaxedDefers;
-    unsigned queue = 0;
-    for (const auto &[k, unused] : pending_) {
-        (void)unused;
-        if (k.first == r.addr)
-            ++queue;
-    }
-    lc.maxQueue = std::max(lc.maxQueue, queue);
+    lc.maxQueue = std::max(lc.maxQueue, ls.waiters);
 
     detectCycleFrom(waiter, r.cpu, r.tick);
 }
@@ -50,40 +58,44 @@ ConflictGraphBuilder::detectCycleFrom(std::int16_t waiter,
                                       std::int16_t owner, Tick tick)
 {
     // The new edge waiter → owner closes a cycle iff owner already
-    // waits (transitively) on waiter through pending edges. Walk the
-    // live wait-for graph; cpu counts are tiny, so a simple DFS over
-    // the pending map suffices.
-    std::vector<std::int16_t> path{waiter, owner};
-    std::vector<std::int16_t> stack{owner};
-    std::vector<bool> seen(1024, false);
+    // waits (transitively) on waiter through pending edges. Depth-first
+    // from owner, each cpu's pending edges in ascending line order,
+    // keeping the first-found path.
+    if (++seenGen_ == 0) {
+        std::fill(seen_.begin(), seen_.end(), 0);
+        seenGen_ = 1;
+    }
     auto mark = [&](std::int16_t c) {
-        size_t i = static_cast<size_t>(c) & 1023;
-        bool was = seen[i];
-        seen[i] = true;
+        if (c < 0)
+            return false;
+        std::uint32_t &s = cpuSlot(seen_, c);
+        const bool was = s == seenGen_;
+        s = seenGen_;
         return was;
     };
     mark(waiter);
     mark(owner);
-    // DFS keeping one concrete path (first-found, deterministic via
-    // the ordered pending_ map).
-    std::function<bool(std::int16_t)> walk = [&](std::int16_t from) {
-        for (const auto &[key, idx] : pending_) {
-            const DeferEdge &e = edges_[idx];
-            if (e.waiter != from)
-                continue;
-            if (e.owner == waiter)
-                return true;
-            if (mark(e.owner))
-                continue;
-            path.push_back(e.owner);
-            if (walk(e.owner))
-                return true;
-            path.pop_back();
+    path_.assign({waiter, owner});
+    cursor_.assign(1, 0);
+    while (!cursor_.empty()) {
+        const std::vector<Pending> &from = pendingOf(path_.back());
+        size_t &next = cursor_.back();
+        if (next == from.size()) {
+            cursor_.pop_back();
+            if (!cursor_.empty())
+                path_.pop_back();
+            continue;
         }
-        return false;
-    };
-    if (walk(owner))
-        cycles_.push_back({path, tick});
+        const DeferEdge &e = edges_[from[next++].edge];
+        if (e.owner == waiter) {
+            cycles_.push_back({path_, tick});
+            return;
+        }
+        if (mark(e.owner))
+            continue;
+        path_.push_back(e.owner);
+        cursor_.push_back(0);
+    }
 }
 
 void
@@ -98,15 +110,20 @@ ConflictGraphBuilder::onRecord(const TraceRecord &r)
         return;
       case TraceEvent::CohService: {
         auto waiter = static_cast<std::int16_t>(r.a0);
-        auto it = pending_.find({r.addr, waiter});
-        if (it == pending_.end())
+        if (waiter < 0 || static_cast<size_t>(waiter) >= pending_.size())
+            return;
+        std::vector<Pending> &mine = pending_[static_cast<size_t>(waiter)];
+        auto it = lowerBound(mine, r.addr);
+        if (it == mine.end() || it->line != r.addr)
             return; // chain service with no prior defer record
-        DeferEdge &e = edges_[it->second];
+        DeferEdge &e = edges_[it->edge];
         e.end = r.tick;
         e.serviced = true;
         e.cause = static_cast<ServiceCause>(r.a1);
-        lines_[r.addr].waitTicks += e.span();
-        pending_.erase(it);
+        LineState &ls = lines_[r.addr];
+        ls.contention.waitTicks += e.span();
+        --ls.waiters;
+        mine.erase(it);
         return;
       }
       case TraceEvent::TxnRestart: {
@@ -119,7 +136,7 @@ ConflictGraphBuilder::onRecord(const TraceRecord &r)
         e.reason = r.a0;
         restarts_.push_back(e);
         if (r.addr != 0)
-            ++lines_[r.addr].restarts;
+            ++lines_[r.addr].contention.restarts;
         return;
       }
       default:
@@ -130,23 +147,37 @@ ConflictGraphBuilder::onRecord(const TraceRecord &r)
 void
 ConflictGraphBuilder::finish(Tick now)
 {
-    for (const auto &[key, idx] : pending_) {
-        (void)key;
-        DeferEdge &e = edges_[idx];
-        e.end = now;
-        lines_[e.line].waitTicks += e.span();
+    for (std::vector<Pending> &mine : pending_) {
+        for (const Pending &p : mine) {
+            DeferEdge &e = edges_[p.edge];
+            e.end = now;
+            LineState &ls = lines_[e.line];
+            ls.contention.waitTicks += e.span();
+            --ls.waiters;
+        }
+        mine.clear();
     }
-    pending_.clear();
+}
+
+std::map<Addr, LineContention>
+ConflictGraphBuilder::lines() const
+{
+    std::map<Addr, LineContention> out;
+    lines_.forEach([&](Addr line, const LineState &ls) {
+        out.emplace(line, ls.contention);
+    });
+    return out;
 }
 
 std::vector<Addr>
 ConflictGraphBuilder::convoyLines(unsigned minQueue) const
 {
     std::vector<Addr> out;
-    for (const auto &[addr, lc] : lines_) {
-        if (lc.maxQueue >= minQueue)
-            out.push_back(addr);
-    }
+    lines_.forEach([&](Addr line, const LineState &ls) {
+        if (ls.contention.maxQueue >= minQueue)
+            out.push_back(line);
+    });
+    std::sort(out.begin(), out.end());
     return out;
 }
 

@@ -21,6 +21,7 @@
 #include <map>
 #include <vector>
 
+#include "trace/listener_state.hh"
 #include "trace/sink.hh"
 
 namespace tlr
@@ -81,22 +82,45 @@ class ConflictGraphBuilder : public TraceListener
         return restarts_;
     }
     const std::vector<CycleHit> &cycles() const { return cycles_; }
-    const std::map<Addr, LineContention> &lines() const { return lines_; }
+    /** Per-line contention, in address order (built on each call). */
+    std::map<Addr, LineContention> lines() const;
 
     /** Lines whose waiter queue ever held @p minQueue+ cpus at once. */
     std::vector<Addr> convoyLines(unsigned minQueue = 2) const;
 
   private:
+    /** One open deferral of a waiter: the line and its edge. */
+    struct Pending
+    {
+        Addr line = 0;
+        size_t edge = 0; ///< index into edges_
+    };
+
+    struct LineState
+    {
+        LineContention contention;
+        unsigned waiters = 0; ///< open deferrals on the line now
+    };
+
     void addDefer(const TraceRecord &r, bool relaxed);
     void detectCycleFrom(std::int16_t waiter, std::int16_t owner,
                          Tick tick);
+    /** @p cpu's open deferrals, ascending line; empty for a cpu that
+     *  never waited. */
+    const std::vector<Pending> &pendingOf(std::int16_t cpu) const;
 
     std::vector<DeferEdge> edges_;
     std::vector<RestartEdge> restarts_;
     std::vector<CycleHit> cycles_;
-    std::map<Addr, LineContention> lines_;
-    /** (line, waiter) → index of the open edge in edges_. */
-    std::map<std::pair<Addr, std::int16_t>, size_t> pending_;
+    AddrMap<LineState> lines_;
+    /** Per waiter cpu: its open deferrals, ascending line. */
+    std::vector<std::vector<Pending>> pending_;
+    /** @{ cycle-walk scratch, reused across walks */
+    std::vector<std::uint32_t> seen_; ///< == seenGen_ once visited
+    std::uint32_t seenGen_ = 0;
+    std::vector<std::int16_t> path_;
+    std::vector<size_t> cursor_; ///< next pending edge, per path node
+    /** @} */
 };
 
 } // namespace tlr

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "coherence/l1_controller.hh"
+#include "trace/listener_state.hh"
 
 namespace tlr
 {
@@ -12,11 +13,12 @@ namespace
 
 /** True when [a,b) lies inside any interval of @p iv. The segment is
  *  guaranteed homogeneous: every interval endpoint is a boundary. */
+template <typename Iv>
 bool
-covered(const std::vector<std::pair<Tick, Tick>> &iv, Tick a, Tick b)
+covered(const std::vector<Iv> &iv, Tick a, Tick b)
 {
-    for (const auto &[s, e] : iv) {
-        if (s <= a && b <= e)
+    for (const Iv &i : iv) {
+        if (i.start <= a && b <= i.end)
             return true;
     }
     return false;
@@ -25,47 +27,48 @@ covered(const std::vector<std::pair<Tick, Tick>> &iv, Tick a, Tick b)
 } // namespace
 
 void
-CriticalPathAccountant::classify(OpenInstance &o)
+CriticalPathAccountant::classify(CpuState &o)
 {
     TxnInstance &t = o.inst;
     const Tick begin = t.begin, end = t.end;
     if (end <= begin)
         return;
 
-    std::vector<std::pair<Tick, Tick>> defer, miss;
     auto clip = [&](const std::vector<Interval> &src,
-                    std::vector<std::pair<Tick, Tick>> &dst) {
+                    std::vector<Interval> &dst) {
+        dst.clear();
         for (const Interval &i : src) {
             Tick s = std::max(i.start, begin);
             Tick e = std::min(i.end, end);
             if (s < e)
-                dst.emplace_back(s, e);
+                dst.push_back({s, e});
         }
     };
-    clip(o.defer, defer);
-    clip(o.miss, miss);
+    clip(o.defer, clipDefer_);
+    clip(o.miss, clipMiss_);
 
-    std::vector<Tick> bounds{begin, end};
-    for (const auto &[s, e] : defer) {
-        bounds.push_back(s);
-        bounds.push_back(e);
+    bounds_.assign({begin, end});
+    for (const Interval &i : clipDefer_) {
+        bounds_.push_back(i.start);
+        bounds_.push_back(i.end);
     }
-    for (const auto &[s, e] : miss) {
-        bounds.push_back(s);
-        bounds.push_back(e);
+    for (const Interval &i : clipMiss_) {
+        bounds_.push_back(i.start);
+        bounds_.push_back(i.end);
     }
     const Tick lastRestart =
         std::min(std::max(o.lastRestartTick, begin), end);
     if (t.restarts > 0)
-        bounds.push_back(lastRestart);
-    std::sort(bounds.begin(), bounds.end());
-    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+        bounds_.push_back(lastRestart);
+    std::sort(bounds_.begin(), bounds_.end());
+    bounds_.erase(std::unique(bounds_.begin(), bounds_.end()),
+                  bounds_.end());
 
-    for (size_t i = 0; i + 1 < bounds.size(); ++i) {
-        const Tick a = bounds[i], b = bounds[i + 1];
-        if (covered(defer, a, b))
+    for (size_t i = 0; i + 1 < bounds_.size(); ++i) {
+        const Tick a = bounds_[i], b = bounds_[i + 1];
+        if (covered(clipDefer_, a, b))
             t.deferTicks += b - a;
-        else if (covered(miss, a, b))
+        else if (covered(clipMiss_, a, b))
             t.missTicks += b - a;
         else if (t.restarts > 0 && b <= lastRestart)
             t.redoTicks += b - a;
@@ -74,15 +77,15 @@ CriticalPathAccountant::classify(OpenInstance &o)
     }
 
     // Longest single deferral → the causal-chain hop for this txn.
-    for (const auto &[iv, who] : o.deferDetail) {
-        Tick s = std::max(iv.start, begin);
-        Tick e = std::min(iv.end, end);
+    for (const DeferDetail &d : o.deferDetail) {
+        Tick s = std::max(d.span.start, begin);
+        Tick e = std::min(d.span.end, end);
         if (s >= e)
             continue;
         if (e - s > t.longestDeferSpan) {
             t.longestDeferSpan = e - s;
-            t.longestDeferOwner = who.first;
-            t.longestDeferLine = who.second;
+            t.longestDeferOwner = d.owner;
+            t.longestDeferLine = d.line;
             t.longestDeferTick = s;
         }
     }
@@ -92,63 +95,60 @@ void
 CriticalPathAccountant::closeInstance(std::int16_t cpu, Tick end,
                                       std::string outcome)
 {
-    auto it = open_.find(cpu);
-    if (it == open_.end())
+    if (cpu < 0 || static_cast<size_t>(cpu) >= cpus_.size())
         return;
-    OpenInstance &o = it->second;
+    CpuState &o = cpus_[static_cast<size_t>(cpu)];
+    if (!o.open)
+        return;
 
     // Attribute still-open wait intervals up to the close tick.
-    for (auto dit = deferOpen_.begin(); dit != deferOpen_.end();) {
-        if (dit->first.first == cpu) {
-            o.defer.push_back({dit->second.first, end});
-            o.deferDetail.push_back(
-                {{dit->second.first, end},
-                 {dit->second.second, dit->first.second}});
-            dit = deferOpen_.erase(dit);
-        } else {
-            ++dit;
-        }
+    for (const OpenDefer &d : o.deferOpen) {
+        o.defer.push_back({d.start, end});
+        o.deferDetail.push_back({{d.start, end}, d.owner, d.line});
     }
-    for (auto mit = missOpen_.begin(); mit != missOpen_.end();) {
-        if (mit->first.first == cpu) {
-            o.miss.push_back({mit->second, end});
-            mit = missOpen_.erase(mit);
-        } else {
-            ++mit;
-        }
-    }
+    o.deferOpen.clear();
+    for (const OpenMiss &m : o.missOpen)
+        o.miss.push_back({m.start, end});
+    o.missOpen.clear();
 
     o.inst.end = end;
     o.inst.outcome = std::move(outcome);
     classify(o);
-    byCpu_[cpu].push_back(instances_.size());
+    o.closed.push_back(instances_.size());
     instances_.push_back(o.inst);
-    open_.erase(it);
+    o.open = false;
 }
 
 void
 CriticalPathAccountant::onRecord(const TraceRecord &r)
 {
+    if (r.cpu < 0)
+        return;
     switch (r.kind) {
       case TraceEvent::TxnElide: {
         if (r.a3 == 0)
             return; // re-elision inside an open instance
         closeInstance(r.cpu, r.tick, "unfinished");
-        OpenInstance o;
+        CpuState &o = cpuSlot(cpus_, r.cpu);
+        o.open = true;
+        o.inst = TxnInstance{};
         o.inst.serial = nextSerial_++;
         o.inst.cpu = r.cpu;
         o.inst.lock = r.addr;
         o.inst.begin = r.tick;
-        open_[r.cpu] = std::move(o);
+        o.defer.clear();
+        o.miss.clear();
+        o.deferDetail.clear();
+        o.lastRestartTick = 0;
         return;
       }
       case TraceEvent::TxnRestart: {
-        auto it = open_.find(r.cpu);
-        if (it != open_.end()) {
-            ++it->second.inst.restarts;
-            it->second.lastRestartTick = r.tick;
+        CpuState &o = cpuSlot(cpus_, r.cpu);
+        if (o.open) {
+            ++o.inst.restarts;
+            o.lastRestartTick = r.tick;
             Timestamp winner = unpackTs(0, r.a3);
-            it->second.inst.lastRestartWinner =
+            o.inst.lastRestartWinner =
                 winner.valid ? winner.cpu : std::int16_t{-1};
         }
         if (r.a2 != 0) {
@@ -168,35 +168,49 @@ CriticalPathAccountant::onRecord(const TraceRecord &r)
       case TraceEvent::CohDefer:
       case TraceEvent::CohRelaxedDefer: {
         auto waiter = static_cast<std::int16_t>(r.a0);
-        deferOpen_[{waiter, r.addr}] = {r.tick, r.cpu};
+        if (waiter < 0)
+            return;
+        std::vector<OpenDefer> &open = cpuSlot(cpus_, waiter).deferOpen;
+        auto it = lowerBound(open, r.addr);
+        if (it == open.end() || it->line != r.addr)
+            it = open.insert(it, OpenDefer{r.addr, 0, -1});
+        it->start = r.tick;
+        it->owner = r.cpu;
         return;
       }
       case TraceEvent::CohService: {
         auto waiter = static_cast<std::int16_t>(r.a0);
-        auto dit = deferOpen_.find({waiter, r.addr});
-        if (dit == deferOpen_.end())
+        if (waiter < 0 || static_cast<size_t>(waiter) >= cpus_.size())
             return;
-        auto oit = open_.find(waiter);
-        if (oit != open_.end()) {
-            oit->second.defer.push_back({dit->second.first, r.tick});
-            oit->second.deferDetail.push_back(
-                {{dit->second.first, r.tick},
-                 {dit->second.second, r.addr}});
+        CpuState &o = cpus_[static_cast<size_t>(waiter)];
+        auto it = lowerBound(o.deferOpen, r.addr);
+        if (it == o.deferOpen.end() || it->line != r.addr)
+            return;
+        if (o.open) {
+            o.defer.push_back({it->start, r.tick});
+            o.deferDetail.push_back({{it->start, r.tick}, it->owner, r.addr});
         }
-        deferOpen_.erase(dit);
+        o.deferOpen.erase(it);
         return;
       }
-      case TraceEvent::CohMiss:
-        missOpen_[{r.cpu, r.addr}] = r.tick;
+      case TraceEvent::CohMiss: {
+        std::vector<OpenMiss> &open = cpuSlot(cpus_, r.cpu).missOpen;
+        auto it = lowerBound(open, r.addr);
+        if (it == open.end() || it->line != r.addr)
+            it = open.insert(it, OpenMiss{r.addr, 0});
+        it->start = r.tick;
         return;
+      }
       case TraceEvent::LineInstall: {
-        auto mit = missOpen_.find({r.cpu, r.addr});
-        if (mit == missOpen_.end())
+        if (static_cast<size_t>(r.cpu) >= cpus_.size())
             return;
-        auto oit = open_.find(r.cpu);
-        if (oit != open_.end())
-            oit->second.miss.push_back({mit->second, r.tick});
-        missOpen_.erase(mit);
+        CpuState &o = cpus_[static_cast<size_t>(r.cpu)];
+        auto it = lowerBound(o.missOpen, r.addr);
+        if (it == o.missOpen.end() || it->line != r.addr)
+            return;
+        if (o.open)
+            o.miss.push_back({it->start, r.tick});
+        o.missOpen.erase(it);
         return;
       }
       default:
@@ -207,17 +221,16 @@ CriticalPathAccountant::onRecord(const TraceRecord &r)
 void
 CriticalPathAccountant::finish(Tick now)
 {
-    while (!open_.empty())
-        closeInstance(open_.begin()->first, now, "unfinished");
+    for (size_t cpu = 0; cpu < cpus_.size(); ++cpu)
+        closeInstance(static_cast<std::int16_t>(cpu), now, "unfinished");
 }
 
 const TxnInstance *
 CriticalPathAccountant::instanceAt(std::int16_t cpu, Tick tick) const
 {
-    auto it = byCpu_.find(cpu);
-    if (it == byCpu_.end())
+    if (cpu < 0 || static_cast<size_t>(cpu) >= cpus_.size())
         return nullptr;
-    const std::vector<size_t> &idx = it->second;
+    const std::vector<size_t> &idx = cpus_[static_cast<size_t>(cpu)].closed;
     // Last instance with begin <= tick (instances on one cpu are
     // chronological and non-overlapping).
     auto pos = std::upper_bound(

@@ -25,7 +25,6 @@
 #define TLR_EXPLAIN_PATH_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -99,32 +98,58 @@ class CriticalPathAccountant : public TraceListener
         Tick end = 0;
     };
 
-    struct OpenInstance
+    /** A deferral interval and who/what it waited on. */
+    struct DeferDetail
     {
+        Interval span;
+        std::int16_t owner = -1;
+        Addr line = 0;
+    };
+
+    /** A deferral still waiting for service, keyed by line. */
+    struct OpenDefer
+    {
+        Addr line = 0;
+        Tick start = 0;
+        std::int16_t owner = -1;
+    };
+
+    /** A miss still waiting for its fill, keyed by line. */
+    struct OpenMiss
+    {
+        Addr line = 0;
+        Tick start = 0;
+    };
+
+    /** Everything kept for one cpu; the vectors keep their capacity
+     *  from one instance to the next. */
+    struct CpuState
+    {
+        bool open = false; ///< an instance is live
         TxnInstance inst;
         std::vector<Interval> defer;
         std::vector<Interval> miss;
+        std::vector<DeferDetail> deferDetail;
         Tick lastRestartTick = 0;
-        /** Longest defer interval tracking. */
-        std::vector<std::pair<Interval, std::pair<std::int16_t, Addr>>>
-            deferDetail; ///< interval → (owner, line)
+        /** Waits not yet closed, ascending line. */
+        std::vector<OpenDefer> deferOpen;
+        std::vector<OpenMiss> missOpen;
+        /** Indices into instances_ of this cpu's closed instances,
+         *  chronological. */
+        std::vector<size_t> closed;
     };
 
     void closeInstance(std::int16_t cpu, Tick end, std::string outcome);
-    static void classify(OpenInstance &o);
+    void classify(CpuState &o);
 
-    std::map<std::int16_t, OpenInstance> open_;
-    /** (cpu) → open defer interval start/owner keyed by line. */
-    std::map<std::pair<std::int16_t, Addr>,
-             std::pair<Tick, std::int16_t>>
-        deferOpen_;
-    /** (cpu, line) → miss start tick. */
-    std::map<std::pair<std::int16_t, Addr>, Tick> missOpen_;
-
+    std::vector<CpuState> cpus_; ///< indexed by cpu
     std::vector<TxnInstance> instances_;
-    /** Per-cpu indices into instances_, chronological. */
-    std::map<std::int16_t, std::vector<size_t>> byCpu_;
     std::uint64_t nextSerial_ = 0;
+    /** @{ classify() scratch */
+    std::vector<Interval> clipDefer_;
+    std::vector<Interval> clipMiss_;
+    std::vector<Tick> bounds_;
+    /** @} */
 };
 
 } // namespace tlr

@@ -1,9 +1,7 @@
 #include "trace/checkers.hh"
 
 #include <algorithm>
-#include <functional>
 
-#include "mem/line.hh"
 #include "sim/logging.hh"
 
 namespace tlr
@@ -32,63 +30,80 @@ CheckerContext::violation(const char *checker, Tick tick,
 // ---------------------------------------------------------------------
 // SingleOwnerChecker
 
+namespace
+{
+
+bool
+isWritable(CohState s)
+{
+    return s == CohState::Modified || s == CohState::Exclusive;
+}
+
+} // namespace
+
 void
 SingleOwnerChecker::onRecord(const TraceRecord &r)
 {
-    if (r.comp != TraceComp::L1)
+    if (r.comp != TraceComp::L1 || r.cpu < 0)
         return;
 
+    CohState next;
     switch (r.kind) {
       case TraceEvent::LineInstall:
-        state_[r.addr][r.cpu] = static_cast<int>(r.a0);
+      case TraceEvent::LineDowngrade:
+        next = static_cast<CohState>(r.a0);
         break;
       case TraceEvent::LineUpgrade:
-        state_[r.addr][r.cpu] = static_cast<int>(CohState::Modified);
+        next = CohState::Modified;
         break;
-      case TraceEvent::LineDowngrade:
-        state_[r.addr][r.cpu] = static_cast<int>(r.a0);
+      case TraceEvent::LineInval:
+        next = CohState::Invalid;
         break;
-      case TraceEvent::LineInval: {
-        auto it = state_.find(r.addr);
-        if (it != state_.end()) {
-            it->second.erase(r.cpu);
-            if (it->second.empty())
-                state_.erase(it);
-        }
-        return; // removal cannot create a violation
-      }
       default:
         return;
     }
 
-    // Validate the line whose state just changed.
-    const auto &copies = state_[r.addr];
-    CpuId writable = invalidCpu;
-    int nvalid = 0;
-    for (const auto &[cpu, st] : copies) {
-        CohState s = static_cast<CohState>(st);
-        if (s == CohState::Invalid)
+    CohState &held = cpuSlot(held_, r.cpu)[r.addr];
+    Copies &c = copies_[r.addr];
+    c.valid -= held != CohState::Invalid;
+    c.writable -= isWritable(held);
+    held = next;
+    c.valid += held != CohState::Invalid;
+    c.writable += isWritable(held);
+
+    // Removal cannot create a violation; otherwise validate the line
+    // whose state just changed.
+    if (r.kind != TraceEvent::LineInval &&
+        (c.writable > 1 || (c.writable == 1 && c.valid > 1)))
+        report(r, c);
+}
+
+void
+SingleOwnerChecker::report(const TraceRecord &r, const Copies &c) const
+{
+    // Name the writable holders in ascending cpu order.
+    CpuId first = invalidCpu;
+    for (size_t cpu = 0; cpu < held_.size(); ++cpu) {
+        const CohState *s = held_[cpu].find(r.addr);
+        if (!s || !isWritable(*s))
             continue;
-        ++nvalid;
-        if (s == CohState::Modified || s == CohState::Exclusive) {
-            if (writable != invalidCpu) {
-                ctx_.violation(
-                    "single-owner", r.tick,
-                    strfmt("line %#llx writable in cpu%d and cpu%d",
-                           static_cast<unsigned long long>(r.addr),
-                           writable, cpu));
-                return;
-            }
-            writable = cpu;
+        if (first == invalidCpu) {
+            first = static_cast<CpuId>(cpu);
+            if (c.writable == 1)
+                break;
+            continue;
         }
+        ctx_.violation("single-owner", r.tick,
+                       strfmt("line %#llx writable in cpu%d and cpu%d",
+                              static_cast<unsigned long long>(r.addr),
+                              first, static_cast<CpuId>(cpu)));
+        return;
     }
-    if (writable != invalidCpu && nvalid > 1) {
-        ctx_.violation(
-            "single-owner", r.tick,
-            strfmt("line %#llx writable in cpu%d but %d copies exist",
-                   static_cast<unsigned long long>(r.addr), writable,
-                   nvalid));
-    }
+    ctx_.violation(
+        "single-owner", r.tick,
+        strfmt("line %#llx writable in cpu%d but %d copies exist",
+               static_cast<unsigned long long>(r.addr), first,
+               static_cast<int>(c.valid)));
 }
 
 // ---------------------------------------------------------------------
@@ -128,55 +143,87 @@ TimestampOrderChecker::onRecord(const TraceRecord &r)
 // DeferralCycleChecker
 
 void
+DeferralCycleChecker::setAdjacent(CpuId waiter, CpuId holder, bool on)
+{
+    const auto need = static_cast<size_t>(std::max(waiter, holder)) + 1;
+    if (need > cpus_) {
+        // Grow to a whole number of 64-cpu words and rebuild the rows.
+        cpus_ = (need + 63) / 64 * 64;
+        words_ = cpus_ / 64;
+        adj_.assign(cpus_ * words_, 0);
+        for (const Edge &e : edges_)
+            setAdjacent(e.waiter, e.holder, true);
+    }
+    span_ = std::max(span_, need);
+    std::uint64_t &w = adj_[static_cast<size_t>(waiter) * words_ +
+                            static_cast<size_t>(holder) / 64];
+    const std::uint64_t bit = 1ull << (holder % 64);
+    w = on ? (w | bit) : (w & ~bit);
+}
+
+template <typename Pred>
+bool
+DeferralCycleChecker::dropEdges(Pred pred)
+{
+    bool changed = false;
+    for (size_t i = 0; i < edges_.size();) {
+        if (!pred(edges_[i])) {
+            ++i;
+            continue;
+        }
+        const Edge gone = edges_[i];
+        edges_[i] = edges_.back();
+        edges_.pop_back();
+        changed = true;
+        bool still = false;
+        for (const Edge &e : edges_)
+            still |= e.waiter == gone.waiter && e.holder == gone.holder;
+        if (!still)
+            setAdjacent(gone.waiter, gone.holder, false);
+    }
+    return changed;
+}
+
+void
 DeferralCycleChecker::onRecord(const TraceRecord &r)
 {
     switch (r.kind) {
       case TraceEvent::CohDefer:
       case TraceEvent::CohRelaxedDefer: {
-        Edge e{static_cast<CpuId>(r.a0), r.cpu, r.addr};
-        if (edges_.insert(e).second)
-            edgesChanged(r.tick);
+        const Edge e{static_cast<CpuId>(r.a0), r.cpu, r.addr};
+        if (e.waiter < 0 || e.holder < 0)
+            return;
+        for (const Edge &o : edges_) {
+            if (o.waiter == e.waiter && o.holder == e.holder &&
+                o.line == e.line)
+                return;
+        }
+        edges_.push_back(e);
+        setAdjacent(e.waiter, e.holder, true);
+        edgesChanged(r.tick, true);
         return;
       }
       case TraceEvent::CohService: {
         // The holder released this line to one specific waiter.
-        Edge e{static_cast<CpuId>(r.a0), r.cpu, r.addr};
-        if (edges_.erase(e) > 0)
-            edgesChanged(r.tick);
+        const auto waiter = static_cast<CpuId>(r.a0);
+        if (dropEdges([&](const Edge &e) {
+                return e.waiter == waiter && e.holder == r.cpu &&
+                       e.line == r.addr;
+            }))
+            edgesChanged(r.tick, false);
         return;
       }
-      case TraceEvent::CohDeferDrain: {
+      case TraceEvent::CohDeferDrain:
         // Commit/abort drains everything deferred at this holder.
-        bool changed = false;
-        for (auto it = edges_.begin(); it != edges_.end();) {
-            if (it->holder == r.cpu) {
-                it = edges_.erase(it);
-                changed = true;
-            } else {
-                ++it;
-            }
-        }
-        if (changed)
-            edgesChanged(r.tick);
+        if (dropEdges([&](const Edge &e) { return e.holder == r.cpu; }))
+            edgesChanged(r.tick, false);
         return;
-      }
       case TraceEvent::TxnRestart:
       case TraceEvent::TxnCommit:
         // A cpu leaving speculation can no longer be waiting on
         // anyone's deferral queue; drop its outgoing edges.
-        {
-            bool changed = false;
-            for (auto it = edges_.begin(); it != edges_.end();) {
-                if (it->waiter == r.cpu) {
-                    it = edges_.erase(it);
-                    changed = true;
-                } else {
-                    ++it;
-                }
-            }
-            if (changed)
-                edgesChanged(r.tick);
-        }
+        if (dropEdges([&](const Edge &e) { return e.waiter == r.cpu; }))
+            edgesChanged(r.tick, false);
         return;
       default:
         return;
@@ -184,52 +231,68 @@ DeferralCycleChecker::onRecord(const TraceRecord &r)
 }
 
 bool
-DeferralCycleChecker::hasCycle(std::vector<CpuId> *cycle_out) const
+DeferralCycleChecker::hasCycle(size_t *cycle_start)
 {
-    // Tiny graphs (<= #cpus nodes): iterative DFS with colors.
-    std::map<CpuId, std::vector<CpuId>> adj;
-    for (const Edge &e : edges_)
-        adj[e.waiter].push_back(e.holder);
-
-    std::map<CpuId, int> color; // 0 white, 1 gray, 2 black
-    std::vector<CpuId> stack;
-
-    std::function<bool(CpuId)> dfs = [&](CpuId u) -> bool {
-        color[u] = 1;
-        stack.push_back(u);
-        for (CpuId v : adj[u]) {
-            if (color[v] == 1) {
-                if (cycle_out) {
-                    auto it = std::find(stack.begin(), stack.end(), v);
-                    cycle_out->assign(it, stack.end());
-                }
+    // Iterative DFS with colors; roots and neighbours in ascending cpu
+    // order, so the reported cycle is the first one that order meets.
+    color_.assign(span_, 0);
+    auto nextHolder = [&](size_t u, size_t from) -> size_t {
+        const std::uint64_t *w = &adj_[u * words_];
+        for (size_t i = from / 64; i < words_; ++i) {
+            std::uint64_t bits = w[i];
+            if (i == from / 64)
+                bits &= ~0ull << (from % 64);
+            if (bits)
+                return i * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+        }
+        return cpus_;
+    };
+    for (size_t root = 0; root < span_; ++root) {
+        if (color_[root] != 0 || nextHolder(root, 0) == cpus_)
+            continue;
+        color_[root] = 1;
+        stack_.assign(1, static_cast<CpuId>(root));
+        cursor_.assign(1, 0);
+        while (!stack_.empty()) {
+            const auto u = static_cast<size_t>(stack_.back());
+            const size_t v = nextHolder(u, cursor_.back());
+            if (v == cpus_) {
+                color_[u] = 2;
+                stack_.pop_back();
+                cursor_.pop_back();
+                continue;
+            }
+            cursor_.back() = v + 1;
+            if (color_[v] == 1) {
+                *cycle_start = static_cast<size_t>(
+                    std::find(stack_.begin(), stack_.end(),
+                              static_cast<CpuId>(v)) -
+                    stack_.begin());
                 return true;
             }
-            if (color[v] == 0 && dfs(v))
-                return true;
+            if (color_[v] == 0) {
+                color_[v] = 1;
+                stack_.push_back(static_cast<CpuId>(v));
+                cursor_.push_back(0);
+            }
         }
-        stack.pop_back();
-        color[u] = 2;
-        return false;
-    };
-
-    for (const auto &[u, unused] : adj) {
-        (void)unused;
-        if (color[u] == 0 && dfs(u))
-            return true;
     }
     return false;
 }
 
 void
-DeferralCycleChecker::edgesChanged(Tick now)
+DeferralCycleChecker::edgesChanged(Tick now, bool added)
 {
-    std::vector<CpuId> cycle;
-    bool cyc = hasCycle(&cycle);
+    // Dropping edges cannot close a cycle in an acyclic graph.
+    if (!added && !cyclePresent_)
+        return;
+    size_t start = 0;
+    bool cyc = hasCycle(&start);
     if (cyc && !cyclePresent_) {
         cyclePresent_ = true;
         cycleSince_ = now;
-        cycleNodes_ = cycle;
+        cycleNodes_.assign(stack_.begin() + static_cast<long>(start),
+                           stack_.end());
     } else if (!cyc) {
         cyclePresent_ = false;
         cycleNodes_.clear();
@@ -267,68 +330,74 @@ DeferralCycleChecker::finish(Tick now)
 // AtomicityChecker
 
 void
-AtomicityChecker::noteRead(CpuId cpu, Addr addr, std::uint64_t value,
-                           Tick tick)
+AtomicityChecker::noteRead(CpuId cpu, Addr addr, std::uint64_t value)
 {
-    (void)tick;
     // The oracle learns a word lazily, on first observation: workload
     // initialisation writes directly into backing store and emits no
     // events, so the first traced read defines the starting value.
-    shadow_.emplace(addr, value);
+    if (!shadow_.find(addr))
+        shadow_[addr] = value;
     // Keep the FIRST value read in this transaction; later reads of
     // the same word hit the cache and must agree with it, which the
     // commit-time check against the shadow subsumes.
-    readSets_[cpu].emplace(addr, value);
+    ReadSet &rs = cpuSlot(readSets_, cpu);
+    std::uint64_t &gen = rs.seen[addr];
+    if (gen != rs.gen) {
+        gen = rs.gen;
+        rs.words.emplace_back(addr, value);
+    }
+}
+
+void
+AtomicityChecker::discard(CpuId cpu)
+{
+    ReadSet &rs = cpuSlot(readSets_, cpu);
+    rs.words.clear();
+    ++rs.gen;
 }
 
 void
 AtomicityChecker::onRecord(const TraceRecord &r)
 {
+    if (r.kind == TraceEvent::TxnWrite || r.kind == TraceEvent::MemWrite) {
+        shadow_[r.addr] = r.a0;
+        return;
+    }
+    if (r.cpu < 0)
+        return;
     switch (r.kind) {
       case TraceEvent::TxnElide:
       case TraceEvent::TxnNest:
         // Eliding reads the lock word and predicts it free; that read
         // is part of the transaction's read set.
-        noteRead(r.cpu, r.addr, r.a0, r.tick);
+        noteRead(r.cpu, r.addr, r.a0);
         return;
       case TraceEvent::TxnRead:
-        noteRead(r.cpu, r.addr, r.a0, r.tick);
+        noteRead(r.cpu, r.addr, r.a0);
         return;
       case TraceEvent::TxnRestart:
-        // Aborted speculation discards its read set.
-        readSets_.erase(r.cpu);
-        return;
       case TraceEvent::TxnQuantumEnd:
-        readSets_.erase(r.cpu);
+        // Aborted speculation discards its read set.
+        discard(r.cpu);
         return;
-      case TraceEvent::TxnCommitStart: {
+      case TraceEvent::TxnCommitStart:
         // Atomic commit point: every word this transaction read must
         // still hold the value it read, or some conflicting write
         // slipped past the coherence protocol without aborting us.
-        auto it = readSets_.find(r.cpu);
-        if (it != readSets_.end()) {
-            for (const auto &[addr, readval] : it->second) {
-                auto sh = shadow_.find(addr);
-                std::uint64_t cur =
-                    sh == shadow_.end() ? readval : sh->second;
-                if (cur != readval) {
-                    ctx_.violation(
-                        "atomicity", r.tick,
-                        strfmt("cpu%d commits having read %#llx=%llu "
-                               "but globally visible value is %llu",
-                               r.cpu,
-                               static_cast<unsigned long long>(addr),
-                               static_cast<unsigned long long>(readval),
-                               static_cast<unsigned long long>(cur)));
-                }
+        for (const auto &[addr, readval] : cpuSlot(readSets_, r.cpu).words) {
+            const std::uint64_t *sh = shadow_.find(addr);
+            const std::uint64_t cur = sh ? *sh : readval;
+            if (cur != readval) {
+                ctx_.violation(
+                    "atomicity", r.tick,
+                    strfmt("cpu%d commits having read %#llx=%llu "
+                           "but globally visible value is %llu",
+                           r.cpu, static_cast<unsigned long long>(addr),
+                           static_cast<unsigned long long>(readval),
+                           static_cast<unsigned long long>(cur)));
             }
-            readSets_.erase(it);
         }
-        return;
-      }
-      case TraceEvent::TxnWrite:
-      case TraceEvent::MemWrite:
-        shadow_[r.addr] = r.a0;
+        discard(r.cpu);
         return;
       default:
         return;

@@ -29,13 +29,12 @@
 #define TLR_TRACE_CHECKERS_HH
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/line.hh"
 #include "sim/stats.hh"
+#include "trace/listener_state.hh"
 #include "trace/sink.hh"
 
 namespace tlr
@@ -64,9 +63,20 @@ class SingleOwnerChecker : public TraceListener
     void onRecord(const TraceRecord &r) override;
 
   private:
+    /** How many caches hold a line valid, and how many writable. */
+    struct Copies
+    {
+        unsigned valid = 0;
+        unsigned writable = 0;
+    };
+
+    void report(const TraceRecord &r, const Copies &c) const;
+
     CheckerContext &ctx_;
-    /** line -> (cpu -> CohState as int). */
-    std::unordered_map<Addr, std::map<CpuId, int>> state_;
+    /** Per cpu: line -> state held there (Invalid once dropped). */
+    std::vector<AddrMap<CohState>> held_;
+    /** line -> copy counts over every cpu. */
+    AddrMap<Copies> copies_;
 };
 
 /** A conflict is never lost to a later-timestamp contender. */
@@ -94,22 +104,34 @@ class DeferralCycleChecker : public TraceListener
         CpuId waiter;
         CpuId holder;
         Addr line;
-        bool operator<(const Edge &o) const
-        {
-            if (waiter != o.waiter)
-                return waiter < o.waiter;
-            if (holder != o.holder)
-                return holder < o.holder;
-            return line < o.line;
-        }
     };
 
-    bool hasCycle(std::vector<CpuId> *cycle_out) const;
-    void edgesChanged(Tick now);
+    /** Drop every live edge matching @p pred; true if any was. */
+    template <typename Pred>
+    bool dropEdges(Pred pred);
+    void setAdjacent(CpuId waiter, CpuId holder, bool on);
+    /** Depth-first search from the lowest waiter, holders visited in
+     *  ascending order; on success the cycle path is in stack_ from
+     *  the index returned. */
+    bool hasCycle(size_t *cycle_start);
+    void edgesChanged(Tick now, bool added);
     void report(Tick now);
 
     CheckerContext &ctx_;
-    std::set<Edge> edges_;
+    /** Live deferrals (few: each waiter has a handful of requests
+     *  outstanding), in arrival order. */
+    std::vector<Edge> edges_;
+    /** Waits-for adjacency: words_ 64-bit words per cpu row, bit h of
+     *  row w set while w has a live deferral behind h. */
+    std::vector<std::uint64_t> adj_;
+    size_t cpus_ = 0; ///< rows allocated (a multiple of 64)
+    size_t words_ = 0;
+    size_t span_ = 0; ///< 1 + the highest cpu in any edge so far
+    /** @{ search scratch, reused across searches */
+    std::vector<std::uint8_t> color_; ///< 0 white, 1 on stack, 2 done
+    std::vector<CpuId> stack_;
+    std::vector<size_t> cursor_; ///< next holder to try, per stack entry
+    /** @} */
     bool cyclePresent_ = false;
     Tick cycleSince_ = 0;
     std::vector<CpuId> cycleNodes_;
@@ -124,20 +146,30 @@ class AtomicityChecker : public TraceListener
     void onRecord(const TraceRecord &r) override;
 
     /** Oracle introspection (tests). */
-    bool hasWord(Addr addr) const { return shadow_.count(addr) != 0; }
+    bool hasWord(Addr addr) const { return shadow_.find(addr) != nullptr; }
     std::uint64_t word(Addr addr) const
     {
-        auto it = shadow_.find(addr);
-        return it == shadow_.end() ? 0 : it->second;
+        const std::uint64_t *v = shadow_.find(addr);
+        return v ? *v : 0;
     }
 
   private:
-    void noteRead(CpuId cpu, Addr addr, std::uint64_t value, Tick tick);
+    /** One cpu's open transaction: each word read, with the first
+     *  value read, in read order. */
+    struct ReadSet
+    {
+        std::vector<std::pair<Addr, std::uint64_t>> words;
+        /** word -> gen of the transaction that last read it. */
+        AddrMap<std::uint64_t> seen;
+        std::uint64_t gen = 1;
+    };
+
+    void noteRead(CpuId cpu, Addr addr, std::uint64_t value);
+    void discard(CpuId cpu);
 
     CheckerContext &ctx_;
-    std::unordered_map<Addr, std::uint64_t> shadow_; ///< word -> value
-    /** cpu -> (word -> first value read inside the transaction). */
-    std::map<CpuId, std::unordered_map<Addr, std::uint64_t>> readSets_;
+    AddrMap<std::uint64_t> shadow_; ///< word -> value
+    std::vector<ReadSet> readSets_; ///< indexed by cpu
 };
 
 /**

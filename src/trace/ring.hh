@@ -2,10 +2,11 @@
  * @file
  * Fixed-capacity ring buffer of binary trace records.
  *
- * The hot-path store is an index increment plus a 64-byte struct copy;
- * when full, the oldest record is overwritten. The buffer is the
- * post-mortem flight recorder: on an invariant violation (or any
- * panic) the last N records explain how the machine got there.
+ * The hot-path store is a 64-byte struct copy plus an index increment
+ * that wraps by compare, not division; when full, the oldest record is
+ * overwritten. The buffer is the post-mortem flight recorder: on an
+ * invariant violation (or any panic) the last N records explain how
+ * the machine got there.
  */
 
 #ifndef TLR_TRACE_RING_HH
@@ -31,7 +32,8 @@ class TraceRing
         if (buf_.empty())
             return;
         buf_[head_] = r;
-        head_ = (head_ + 1) % buf_.size();
+        if (++head_ == buf_.size())
+            head_ = 0;
         if (size_ < buf_.size())
             ++size_;
     }

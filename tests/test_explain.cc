@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "explain/explain.hh"
 #include "explain/rawtrace.hh"
@@ -208,6 +211,96 @@ TEST(RawTrace, WriterAppliesFilter)
     std::remove(path.c_str());
 }
 
+TEST(RawTrace, RoundTripAcrossBlockBoundaries)
+{
+    // Two and a half blocks: two full-block writes plus the partial
+    // block finish() writes.
+    const std::string path = "test_rawtrace_blocks.bin";
+    const size_t n = 2 * RawTraceWriter::blockRecords +
+                     RawTraceWriter::blockRecords / 2;
+    std::vector<TraceRecord> in;
+    for (size_t i = 0; i < n; ++i) {
+        TraceRecord r = defer(i, static_cast<CpuId>(i % 7),
+                              static_cast<CpuId>(i % 5), 0x40 * i);
+        r.seq = i;
+        r.a3 = ~i;
+        in.push_back(r);
+    }
+    {
+        RawTraceWriter w;
+        ASSERT_EQ(w.open(path), "");
+        for (const TraceRecord &r : in)
+            w.onRecord(r);
+        EXPECT_EQ(w.written(), 2 * RawTraceWriter::blockRecords);
+        w.finish(n);
+        EXPECT_EQ(w.written(), n);
+        EXPECT_EQ(w.close(), "");
+    }
+
+    std::FILE *fp = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(fp, nullptr);
+    std::fseek(fp, 0, SEEK_END);
+    EXPECT_EQ(std::ftell(fp), static_cast<long>(sizeof(RawTraceHeader) +
+                                                n * sizeof(TraceRecord)));
+    std::fclose(fp);
+
+    RawTraceReader rd;
+    ASSERT_EQ(rd.open(path), "");
+    EXPECT_EQ(rd.header().recordCount, n);
+    EXPECT_EQ(rd.header().finalTick, n);
+    size_t i = 0;
+    rd.forEach([&](const TraceRecord &r) {
+        ASSERT_LT(i, n);
+        EXPECT_EQ(std::memcmp(&r, &in[i], sizeof r), 0) << "record " << i;
+        ++i;
+    });
+    EXPECT_EQ(i, n);
+    std::remove(path.c_str());
+}
+
+TEST(RawTrace, FailedWriteCountsOnlyWrittenRecordsAndIsReported)
+{
+    // Cap the file size so the second block write stops short: the
+    // header count must name only the records fwrite wrote, and the
+    // failure must surface from finish() and close().
+    const std::string path = "test_rawtrace_short.bin";
+    const size_t fit = RawTraceWriter::blockRecords + 100;
+    rlimit old{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old), 0);
+    void (*oldHandler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = old;
+    cap.rlim_cur = sizeof(RawTraceHeader) + fit * sizeof(TraceRecord);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &cap), 0);
+
+    std::string finishErr, closeErr;
+    std::uint64_t written = 0;
+    {
+        RawTraceWriter w;
+        EXPECT_EQ(w.open(path), "");
+        for (size_t i = 0; i < 3 * RawTraceWriter::blockRecords; ++i)
+            w.onRecord(defer(i, 1, 2, 0x40));
+        w.finish(99);
+        finishErr = w.error();
+        closeErr = w.close();
+        written = w.written();
+    }
+    setrlimit(RLIMIT_FSIZE, &old);
+    std::signal(SIGXFSZ, oldHandler);
+
+    EXPECT_EQ(written, fit);
+    EXPECT_NE(finishErr.find("cannot write to 'test_rawtrace_short.bin'"),
+              std::string::npos)
+        << finishErr;
+    EXPECT_EQ(closeErr, finishErr);
+    RawTraceReader rd;
+    ASSERT_EQ(rd.open(path), "");
+    EXPECT_EQ(rd.header().recordCount, fit);
+    size_t n = 0;
+    rd.forEach([&](const TraceRecord &) { ++n; });
+    EXPECT_EQ(n, fit);
+    std::remove(path.c_str());
+}
+
 TEST(RawTrace, ReaderRejectsGarbage)
 {
     RawTraceReader rd;
@@ -265,7 +358,7 @@ TEST(ConflictGraph, DeferServiceMakesOneEdge)
     EXPECT_FALSE(e.relaxed);
     EXPECT_EQ(e.cause, ServiceCause::CommitDrain);
 
-    const auto &lc = g.lines().at(0x40);
+    const LineContention lc = g.lines().at(0x40);
     EXPECT_EQ(lc.defers, 1u);
     EXPECT_EQ(lc.waitTicks, 50u);
     EXPECT_EQ(lc.maxQueue, 1u);
@@ -318,6 +411,34 @@ TEST(ConflictGraph, DetectsTransitiveCycleAndIgnoresChains)
     g.onRecord(defer(30, 0, 2, 0xc0));
     ASSERT_EQ(g.cycles().size(), 1u);
     EXPECT_EQ(g.cycles()[0].cpus.size(), 3u);
+    g.finish(100);
+}
+
+TEST(ConflictGraph, CycleWalkFollowsLinesInAddressOrder)
+{
+    ConflictGraphBuilder g;
+    // cpu2 waits on cpu3 (line 0x80) and on cpu4 (line 0x40); both
+    // wait on cpu1. cpu1 then waiting on cpu2 closes two cycles; the
+    // walk tries cpu2's pending lines in address order, so it reports
+    // the one through cpu4.
+    g.onRecord(defer(10, 3, 2, 0x80));
+    g.onRecord(defer(11, 4, 2, 0x40));
+    g.onRecord(defer(12, 1, 3, 0xc0));
+    g.onRecord(defer(13, 1, 4, 0x100));
+    EXPECT_TRUE(g.cycles().empty());
+    g.onRecord(defer(20, 2, 1, 0x140));
+    ASSERT_EQ(g.cycles().size(), 1u);
+    EXPECT_EQ(g.cycles()[0].cpus, (std::vector<std::int16_t>{1, 2, 4}));
+    g.finish(100);
+}
+
+TEST(ConflictGraph, DetectsCycleBeyondSixtyFourCpus)
+{
+    ConflictGraphBuilder g;
+    g.onRecord(defer(10, 70, 65, 0x40));
+    g.onRecord(defer(20, 65, 70, 0x80));
+    ASSERT_EQ(g.cycles().size(), 1u);
+    EXPECT_EQ(g.cycles()[0].cpus, (std::vector<std::int16_t>{70, 65}));
     g.finish(100);
 }
 
