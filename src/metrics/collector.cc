@@ -303,16 +303,27 @@ MetricsSnapshot::summary(size_t maxLocks) const
 // ---- MetricsCollector ---------------------------------------------------
 //
 
-MetricsCollector::OpenTxn &
-MetricsCollector::openFor(CpuId cpu)
-{
-    return cpuSlot(open_, cpu >= 0 ? cpu : 0);
-}
-
 void
-MetricsCollector::closeTxn(OpenTxn &t)
+MetricsCollector::closed(const TxnState::Txn &t)
 {
-    t = OpenTxn{};
+    using Outcome = TxnState::Outcome;
+    // An unfinished instance is dropped rather than guessed at.
+    if (t.outcome == Outcome::Unfinished)
+        return;
+    const Tick span = t.end - t.begin;
+    snap_.retries.record(t.restarts);
+    if (t.outcome != Outcome::Commit) {
+        snap_.abortLatency.record(span);
+        if (t.outcome == Outcome::Fallback)
+            ++locks_[t.lock].fallbacks;
+        return;
+    }
+    snap_.csLatency.record(span);
+    if (t.inCommit)
+        snap_.commitLatency.record(t.end - t.commitStart);
+    LockProfile &p = locks_[t.lock];
+    ++p.commits;
+    p.occupancyTicks += span;
 }
 
 void
@@ -339,98 +350,29 @@ MetricsCollector::accountMsg(MsgClass cls, std::uint64_t bytes, int from,
 }
 
 void
-MetricsCollector::onRecord(const TraceRecord &r)
+MetricsCollector::apply(const TxnState::Change &c)
 {
+    if (!c.record)
+        return; // closes at finish() are unfinished work: dropped
+    const TraceRecord &r = *c.record;
     ++snap_.records;
+    if (c.opened)
+        ++locks_[c.opened->lock].elisions;
+    if (c.restarted)
+        ++locks_[c.restarted->lock].restarts;
+    if (c.closed)
+        closed(*c.closed);
+    if (c.deferClosed)
+        snap_.deferWait.record(r.tick - c.deferClosed->start);
     switch (r.kind) {
-      case TraceEvent::TxnElide: {
-        if (r.a3 == 0)
-            return; // re-elision after a restart: same instance
-        OpenTxn &t = openFor(r.cpu);
-        // A dangling instance means the previous one never reported an
-        // outcome (mirrors TxnLifecycle); drop it without recording.
-        t = OpenTxn{};
-        t.active = true;
-        t.begin = r.tick;
-        t.lock = r.addr;
-        ++locks_[r.addr].elisions;
-        return;
-      }
-      case TraceEvent::TxnRestart: {
-        OpenTxn &t = openFor(r.cpu);
-        if (!t.active)
-            return;
-        ++t.restarts;
-        LockProfile &p = locks_[t.lock];
-        ++p.restarts;
-        t.inCommit = false;
-        if (r.a2 != 0) { // instance ended: fallback to the real lock
-            ++p.fallbacks;
-            snap_.abortLatency.record(r.tick - t.begin);
-            snap_.retries.record(t.restarts);
-            closeTxn(t);
-        }
-        return;
-      }
-      case TraceEvent::TxnQuantumEnd: {
-        OpenTxn &t = openFor(r.cpu);
-        if (!t.active)
-            return;
-        snap_.abortLatency.record(r.tick - t.begin);
-        snap_.retries.record(t.restarts);
-        closeTxn(t);
-        return;
-      }
-      case TraceEvent::TxnCommitStart: {
-        OpenTxn &t = openFor(r.cpu);
-        if (t.active) {
-            t.inCommit = true;
-            t.commitStart = r.tick;
-        }
-        return;
-      }
-      case TraceEvent::TxnCommit: {
-        OpenTxn &t = openFor(r.cpu);
-        if (!t.active)
-            return;
-        snap_.csLatency.record(r.tick - t.begin);
-        if (t.inCommit)
-            snap_.commitLatency.record(r.tick - t.commitStart);
-        snap_.retries.record(t.restarts);
-        LockProfile &p = locks_[t.lock];
-        ++p.commits;
-        p.occupancyTicks += r.tick - t.begin;
-        closeTxn(t);
-        return;
-      }
       case TraceEvent::CohDefer:
       case TraceEvent::CohRelaxedDefer: {
-        // Keep the earliest defer tick: a request can be re-queued
-        // internally but waits from its first deferral.
-        std::vector<OpenDefer> &waits =
-            cpuSlot(deferStart_, static_cast<CpuId>(r.a0));
-        auto it = lowerBound(waits, r.addr);
-        if (it == waits.end() || it->line != r.addr)
-            waits.insert(it, OpenDefer{r.addr, r.tick});
         // Attribute the deferral to a lock: the line itself if it is a
         // lock line, otherwise the lock the deferring owner holds.
         if (isLock_ && isLock_(r.addr)) {
             ++locks_[r.addr].defers;
-        } else {
-            OpenTxn &t = openFor(r.cpu);
-            if (t.active)
-                ++locks_[t.lock].defers;
-        }
-        return;
-      }
-      case TraceEvent::CohService: {
-        if (r.a0 >= deferStart_.size())
-            return;
-        std::vector<OpenDefer> &waits = deferStart_[r.a0];
-        auto it = lowerBound(waits, r.addr);
-        if (it != waits.end() && it->line == r.addr) {
-            snap_.deferWait.record(r.tick - it->start);
-            waits.erase(it);
+        } else if (const TxnState::Txn *t = state().live(r.cpu)) {
+            ++locks_[t->lock].defers;
         }
         return;
       }
@@ -498,7 +440,8 @@ void
 MetricsCollector::finish(Tick now)
 {
     // Unfinished work (open transactions, still-held locks, never
-    // serviced deferrals) is dropped rather than guessed at.
+    // serviced deferrals) is dropped rather than guessed at, so the
+    // reducer's closes at the end of the stream are not needed.
     snap_.runTicks = now;
     snap_.locks.clear();
     locks_.forEach([&](Addr addr, const LockProfile &p) {

@@ -23,6 +23,8 @@
  * components skip every emit behind TLR_TRACE_ARMED — no cycles or
  * counters change. Even when attached it never mutates simulation
  * state, so enabling metrics cannot change simulated cycle counts.
+ * Instance and deferral latencies come from what the TxnState reducer
+ * closes; the collector keeps only its own tables.
  *
  * Snapshots merge: MetricsSnapshot::merge() is commutative and
  * associative (element-wise histogram adds plus keyed-map sums), so
@@ -44,7 +46,7 @@
 #include "metrics/histogram.hh"
 #include "trace/lifecycle.hh"
 #include "trace/listener_state.hh"
-#include "trace/sink.hh"
+#include "trace/txn_state.hh"
 
 namespace tlr
 {
@@ -137,7 +139,7 @@ struct MetricsSnapshot
     std::string summary(size_t maxLocks = 8) const;
 };
 
-class MetricsCollector : public TraceListener
+class MetricsCollector : public TxnStateView
 {
   public:
     /** Lock addresses (sync/layout classifier) for attribution of
@@ -152,8 +154,8 @@ class MetricsCollector : public TraceListener
      *  default: plain metrics runs stay O(1) in memory. */
     void enableCounterTracks(bool on = true) { tracks_ = on; }
 
-    void onRecord(const TraceRecord &r) override;
-    /** Also fills the snapshot's lock and link maps from the flat
+    void apply(const TxnState::Change &c) override;
+    /** Fills the snapshot's lock and link maps from the flat
      *  per-record tables. */
     void finish(Tick now) override;
 
@@ -166,24 +168,6 @@ class MetricsCollector : public TraceListener
     std::vector<CounterTrack> counterTracks() const;
 
   private:
-    /** Open critical-section instance on one cpu (elided or real). */
-    struct OpenTxn
-    {
-        bool active = false;
-        bool inCommit = false;
-        Tick begin = 0;
-        Tick commitStart = 0;
-        Addr lock = 0;
-        std::uint64_t restarts = 0;
-    };
-
-    /** A deferred request waiting for service, keyed by line. */
-    struct OpenDefer
-    {
-        Addr line = 0;
-        Tick start = 0; ///< first deferral
-    };
-
     /** A real (non-elided) hold of a lock word. */
     struct Hold
     {
@@ -191,19 +175,16 @@ class MetricsCollector : public TraceListener
         Tick since = 0;
     };
 
-    OpenTxn &openFor(CpuId cpu);
-    void closeTxn(OpenTxn &t);
+    /** Latencies and lock counts of an instance the reducer closed. */
+    void closed(const TxnState::Txn &t);
     void accountMsg(MsgClass cls, std::uint64_t bytes, int from, int to);
 
     MetricsSnapshot snap_;
-    std::vector<OpenTxn> open_;
     AddrMap<LockProfile> locks_;
     /** Per-link totals: linkDim_ x linkDim_, row from+2, column to+2
      *  (node ids start at ordNode = -2). */
     std::vector<MsgStat> links_;
     size_t linkDim_ = 0;
-    /** Per requester cpu: its deferred requests, ascending line. */
-    std::vector<std::vector<OpenDefer>> deferStart_;
     AddrMap<Hold> held_; ///< lock word -> real hold
     /** Per cpu: (tick, depth) samples, kept only with tracks_. */
     std::vector<std::vector<std::pair<Tick, std::uint64_t>>> depth_;

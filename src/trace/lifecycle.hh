@@ -2,9 +2,9 @@
  * @file
  * Per-transaction lifecycle tracker and Chrome-trace exporter.
  *
- * Consumes the structured event stream and reconstructs every
- * critical-section instance on every processor: elide → speculate →
- * conflict → defer/restart → commit or fallback. The result exports as
+ * A view over TxnState: every critical-section instance the reducer
+ * closes (elide → speculate → conflict → defer/restart → commit or
+ * fallback) becomes a span. The result exports as
  * Chrome trace-event JSON (the format Perfetto and chrome://tracing
  * open natively): one timeline row per cpu, a duration span per
  * transaction instance colored by outcome, and instant markers for
@@ -15,13 +15,12 @@
 #define TLR_TRACE_LIFECYCLE_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "trace/sink.hh"
+#include "trace/txn_state.hh"
 
 namespace tlr
 {
@@ -48,7 +47,7 @@ struct FlowArrow
     std::string name;
 };
 
-class TxnLifecycle : public TraceListener
+class TxnLifecycle : public TxnStateView
 {
   public:
     /** One critical-section instance, first elision to final outcome. */
@@ -60,6 +59,8 @@ class TxnLifecycle : public TraceListener
         Addr lock = 0;
         std::uint64_t tsClock = 0;
         bool tsValid = false;
+        /** Restarts that did not end the instance: a fallback's last
+         *  restart is its outcome, not a marker inside the span. */
         unsigned restarts = 0;
         unsigned nests = 0;
         std::string outcome; ///< "commit" | "fallback:<reason>" |
@@ -75,8 +76,7 @@ class TxnLifecycle : public TraceListener
         std::string detail;
     };
 
-    void onRecord(const TraceRecord &r) override;
-    void finish(Tick now) override;
+    void apply(const TxnState::Change &c) override;
 
     const std::vector<Span> &spans() const { return spans_; }
     const std::vector<Instant> &instants() const { return instants_; }
@@ -90,9 +90,6 @@ class TxnLifecycle : public TraceListener
         const;
 
   private:
-    void closeSpan(CpuId cpu, Tick end, std::string outcome);
-
-    std::map<CpuId, Span> open_;
     std::vector<Span> spans_;
     std::vector<Instant> instants_;
 };

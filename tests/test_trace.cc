@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the structured tracing subsystem: ring-buffer
- * wrap-around, sink gating, the transaction lifecycle tracker and its
- * Chrome-trace export, and — most importantly — injected-violation
+ * wrap-around, sink gating, the TxnState reducer's edge-case rules,
+ * the transaction lifecycle tracker and its Chrome-trace export, and
+ * — most importantly — injected-violation
  * tests proving each online invariant checker actually fires, plus a
  * clean full-system run with zero violations.
  */
@@ -15,13 +16,16 @@
 #include <vector>
 
 #include "coherence/spec_hooks.hh"
+#include "explain/path.hh"
 #include "harness/runner.hh"
 #include "harness/scheme.hh"
 #include "mem/line.hh"
+#include "metrics/collector.hh"
 #include "trace/checkers.hh"
 #include "trace/lifecycle.hh"
 #include "trace/ring.hh"
 #include "trace/sink.hh"
+#include "trace/txn_state.hh"
 #include "workloads/micro.hh"
 #include "workloads/scenarios.hh"
 
@@ -241,6 +245,174 @@ TEST(TxnLifecycle, ExportsChromeTraceJson)
     // Balanced braces => structurally plausible JSON.
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+}
+
+// ---------------------------------------------------------------------
+// TxnState: one rule per edge case. None of the first three occurs in
+// traces the simulator emits today, so each rule is pinned here rather
+// than by a golden.
+
+namespace
+{
+
+TraceRecord
+elide(Tick tick, CpuId cpu, bool fresh = true)
+{
+    return rec(tick, TraceComp::Spec, TraceEvent::TxnElide, cpu, 0x80, 0,
+               0, 0, fresh ? 1 : 0);
+}
+
+TraceRecord
+deferRec(Tick tick, CpuId owner, CpuId waiter, Addr line)
+{
+    return rec(tick, TraceComp::L1, TraceEvent::CohDefer, owner, line,
+               static_cast<std::uint64_t>(waiter));
+}
+
+TraceRecord
+serviceRec(Tick tick, CpuId owner, CpuId waiter, Addr line)
+{
+    return rec(tick, TraceComp::L1, TraceEvent::CohService, owner, line,
+               static_cast<std::uint64_t>(waiter));
+}
+
+TraceRecord
+restartRec(Tick tick, CpuId cpu, bool fallback)
+{
+    return rec(tick, TraceComp::Spec, TraceEvent::TxnRestart, cpu, 0,
+               static_cast<std::uint64_t>(AbortReason::ConflictLost), 0,
+               fallback ? 1 : 0);
+}
+
+} // namespace
+
+TEST(TxnState, ReDeferralKeepsTheFirstDeferral)
+{
+    TxnState st;
+    EXPECT_NE(st.step(deferRec(10, 0, 1, 0x40)).deferOpened, nullptr);
+    const TxnState::Change &again = st.step(deferRec(30, 2, 1, 0x40));
+    EXPECT_EQ(again.deferOpened, nullptr);
+    ASSERT_EQ(st.waiting(1).size(), 1u);
+    EXPECT_EQ(st.waiting(1)[0].start, 10u);
+    EXPECT_EQ(st.waiting(1)[0].owner, 0);
+    EXPECT_EQ(st.waiters(0x40), 1u);
+
+    const TxnState::Change &c = st.step(serviceRec(50, 0, 1, 0x40));
+    ASSERT_NE(c.deferClosed, nullptr);
+    EXPECT_EQ(c.deferClosed->start, 10u);
+    EXPECT_TRUE(st.waiting(1).empty());
+    EXPECT_EQ(st.waiters(0x40), 0u);
+}
+
+TEST(TxnState, ClosingInstanceLeavesItsDeferralOpen)
+{
+    TxnState st;
+    st.step(elide(5, 1));
+    st.step(deferRec(10, 0, 1, 0x40));
+    const TxnState::Change &c = st.step(
+        rec(20, TraceComp::Spec, TraceEvent::TxnCommit, 1, 0));
+    ASSERT_NE(c.closed, nullptr);
+    EXPECT_EQ(c.deferClosed, nullptr);
+    EXPECT_EQ(st.live(1), nullptr);
+    ASSERT_EQ(st.waiting(1).size(), 1u);
+    EXPECT_EQ(st.waiters(0x40), 1u);
+
+    // The accountant charges the instance the wait up to its close.
+    CriticalPathAccountant a;
+    for (const TraceRecord &r :
+         {elide(5, 1), deferRec(10, 0, 1, 0x40),
+          rec(20, TraceComp::Spec, TraceEvent::TxnCommit, 1, 0)})
+        a.onRecord(r);
+    a.finish(100);
+    ASSERT_EQ(a.instances().size(), 1u);
+    EXPECT_EQ(a.instances()[0].deferTicks, 10u);
+    EXPECT_EQ(a.instances()[0].execTicks, 5u);
+}
+
+TEST(TxnState, NewElisionClosesUnclosedInstanceAsUnfinished)
+{
+    TxnState st;
+    st.step(elide(5, 2));
+    const TxnState::Change &c = st.step(elide(40, 2));
+    ASSERT_NE(c.closed, nullptr);
+    EXPECT_EQ(c.closed->outcomeName(), "unfinished");
+    EXPECT_EQ(c.closed->begin, 5u);
+    EXPECT_EQ(c.closed->end, 40u);
+    ASSERT_NE(c.opened, nullptr);
+    EXPECT_EQ(c.opened->serial, c.closed->serial + 1);
+    EXPECT_EQ(c.opened->begin, 40u);
+
+    // A re-elision continues the open instance instead.
+    EXPECT_EQ(st.step(elide(50, 2, /*fresh=*/false)).opened, nullptr);
+    EXPECT_EQ(st.live(2)->begin, 40u);
+}
+
+TEST(TxnState, ServiceWithoutOpenDeferralChangesNothing)
+{
+    TxnState st;
+    st.step(deferRec(10, 0, 1, 0x40));
+    for (const TraceRecord &r :
+         {serviceRec(20, 0, 1, 0x80), serviceRec(20, 0, 3, 0x40),
+          serviceRec(20, 0, 9, 0x40)}) {
+        const TxnState::Change &c = st.step(r);
+        EXPECT_EQ(c.deferClosed, nullptr);
+        EXPECT_EQ(c.closed, nullptr);
+    }
+    ASSERT_EQ(st.waiting(1).size(), 1u);
+    EXPECT_EQ(st.waiters(0x40), 1u);
+    EXPECT_TRUE(st.waiting(3).empty());
+}
+
+TEST(TxnState, FinishClosesInstancesThenDeferralsInCpuOrder)
+{
+    TxnState st;
+    st.step(elide(5, 2));
+    st.step(elide(6, 0));
+    st.step(deferRec(10, 2, 0, 0x80));
+    st.step(deferRec(11, 2, 0, 0x40));
+    std::vector<std::string> seen;
+    st.finish(100, [&](const TxnState::Change &c) {
+        EXPECT_EQ(c.record, nullptr);
+        EXPECT_EQ(c.tick, 100u);
+        if (c.closed)
+            seen.push_back("txn@cpu" + std::to_string(c.closed->cpu));
+        if (c.deferClosed)
+            seen.push_back("defer " + std::to_string(c.deferClosed->line));
+    });
+    EXPECT_EQ(seen, (std::vector<std::string>{"txn@cpu0", "defer 64",
+                                              "defer 128", "txn@cpu2"}));
+    EXPECT_EQ(st.waiters(0x40), 0u);
+}
+
+TEST(TxnState, FallbackRestartCountsDifferByView)
+{
+    // elide, restart, re-elide, restart into fallback: the span leaves
+    // out the restart that ends the instance; the accountant and the
+    // metrics retries histogram count it.
+    const TraceRecord stream[] = {elide(10, 0), restartRec(20, 0, false),
+                                  elide(25, 0, false),
+                                  restartRec(40, 0, true)};
+    TxnLifecycle lc;
+    CriticalPathAccountant path;
+    MetricsCollector metrics;
+    for (const TraceRecord &r : stream) {
+        lc.onRecord(r);
+        path.onRecord(r);
+        metrics.onRecord(r);
+    }
+    lc.finish(100);
+    path.finish(100);
+    metrics.finish(100);
+    ASSERT_EQ(lc.spans().size(), 1u);
+    EXPECT_EQ(lc.spans()[0].restarts, 1u);
+    EXPECT_EQ(lc.spans()[0].outcome, "fallback:conflict-lost");
+    ASSERT_EQ(path.instances().size(), 1u);
+    EXPECT_EQ(path.instances()[0].restarts, 2u);
+    EXPECT_EQ(path.instances()[0].outcome, lc.spans()[0].outcome);
+    EXPECT_EQ(metrics.snapshot().retries.count(), 1u);
+    EXPECT_EQ(metrics.snapshot().retries.max(), 2u);
+    EXPECT_EQ(metrics.snapshot().locks.at(0x80).restarts, 2u);
+    EXPECT_EQ(metrics.snapshot().locks.at(0x80).fallbacks, 1u);
 }
 
 // ---------------------------------------------------------------------
