@@ -21,6 +21,8 @@ RawTraceWriter::open(const std::string &path)
     // let fwrite report records that a later flush fails to write.
     std::setvbuf(file_, nullptr, _IONBF, 0);
     header_ = RawTraceHeader{};
+    lastTick_ = 0;
+    finished_ = false;
     if (std::fwrite(&header_, sizeof(header_), 1, file_) != 1) {
         fail("write header to");
         std::string err = error_;
@@ -51,6 +53,12 @@ RawTraceWriter::writeBlock()
     const size_t n =
         std::fwrite(block_.get(), sizeof(TraceRecord), buffered_, file_);
     header_.recordCount += n;
+    if (n > 0) {
+        TraceRecord last;
+        std::memcpy(&last, block_.get() + (n - 1) * sizeof(TraceRecord),
+                    sizeof(TraceRecord));
+        lastTick_ = last.tick;
+    }
     if (n != buffered_)
         fail("write to");
     buffered_ = 0;
@@ -77,14 +85,21 @@ RawTraceWriter::finish(Tick now)
     if (error_.empty())
         writeBlock();
     header_.finalTick = now;
+    finished_ = true;
+    patchHeader();
+    // Leave the file open so a second finish() (defensive) still has
+    // somewhere to patch; close() runs from the destructor.
+}
+
+void
+RawTraceWriter::patchHeader()
+{
     if (std::fseek(file_, 0, SEEK_SET) != 0)
         fail("seek in");
     else if (std::fwrite(&header_, sizeof(header_), 1, file_) != 1)
         fail("write header to");
     if (std::fflush(file_) != 0 || std::fseek(file_, 0, SEEK_END) != 0)
         fail("flush");
-    // Leave the file open so a second finish() (defensive) still has
-    // somewhere to patch; close() runs from the destructor.
 }
 
 std::string
@@ -93,6 +108,12 @@ RawTraceWriter::close()
     if (file_) {
         if (error_.empty())
             writeBlock();
+        if (!finished_) {
+            // The run stopped before TraceSink::finish (a panic): the
+            // last record written is the best final tick there is.
+            header_.finalTick = lastTick_;
+            patchHeader();
+        }
         if (std::fclose(file_) != 0)
             fail("close");
         file_ = nullptr;

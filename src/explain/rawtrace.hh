@@ -4,9 +4,10 @@
  *
  * Layout: a 32-byte versioned header followed by recordCount
  * TraceRecords written verbatim (64 bytes each, host endianness).
- * recordCount and finalTick are back-patched when the run finishes, so
- * a truncated file (crash mid-run) is detectable: its header count
- * stays 0 while the file holds records.
+ * recordCount and finalTick are back-patched when the run finishes.
+ * A run that ends without finish() (a panic) gets them patched when
+ * the writer closes, with the tick of the last record written, so
+ * the one run most worth replaying can still be read offline.
  *
  *   offset  size  field
  *        0     8  magic "TLRTRACE"
@@ -72,7 +73,8 @@ class RawTraceWriter : public TraceListener
     /** Writes the buffered records, back-patches the header and
      *  flushes; a failure is kept for error(). The file stays open. */
     void finish(Tick now) override;
-    /** Writes any buffered records and closes the file.
+    /** Writes any buffered records, back-patches the header if
+     *  finish() never ran, and closes the file.
      *  @return error(), now including a failed close: empty when every
      *          record and the header reached the file. */
     std::string close();
@@ -87,6 +89,7 @@ class RawTraceWriter : public TraceListener
 
   private:
     void writeBlock();
+    void patchHeader();
     void fail(const char *what);
 
     std::FILE *file_ = nullptr;
@@ -96,6 +99,8 @@ class RawTraceWriter : public TraceListener
     /** Room for blockRecords records once open. */
     std::unique_ptr<unsigned char[]> block_;
     size_t buffered_ = 0;
+    Tick lastTick_ = 0; ///< tick of the last record written
+    bool finished_ = false;
     std::string error_;
 };
 

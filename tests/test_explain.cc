@@ -258,6 +258,30 @@ TEST(RawTrace, RoundTripAcrossBlockBoundaries)
     std::remove(path.c_str());
 }
 
+TEST(RawTrace, WriterDestroyedWithoutFinishPatchesHeader)
+{
+    // A run that panics never reaches TraceSink::finish; unwinding
+    // destroys the writer, and the header must still name every record
+    // written and the last one's tick.
+    const std::string path = "test_rawtrace_unfinished.bin";
+    const size_t n = RawTraceWriter::blockRecords + 3;
+    {
+        RawTraceWriter w;
+        ASSERT_EQ(w.open(path), "");
+        for (size_t i = 0; i < n; ++i)
+            w.onRecord(defer(10 + i, 1, 2, 0x40));
+    }
+
+    RawTraceReader rd;
+    ASSERT_EQ(rd.open(path), "");
+    EXPECT_EQ(rd.header().recordCount, n);
+    EXPECT_EQ(rd.header().finalTick, 10 + n - 1);
+    size_t seen = 0;
+    rd.forEach([&](const TraceRecord &) { ++seen; });
+    EXPECT_EQ(seen, n);
+    std::remove(path.c_str());
+}
+
 TEST(RawTrace, FailedWriteCountsOnlyWrittenRecordsAndIsReported)
 {
     // Cap the file size so the second block write stops short: the
