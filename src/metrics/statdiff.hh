@@ -1,6 +1,6 @@
 /**
  * @file
- * Stats-dump comparison engine behind the tlrstat CLI.
+ * Stats-dump comparison engine behind `tlrreport --diff`.
  *
  * Diffs two parsed --stats-json (or BENCH_*.json) documents: flattens
  * every numeric leaf to a dotted path, pairs the paths, computes the
@@ -24,11 +24,11 @@ struct DiffOptions
 {
     double thresholdPct = 20.0; ///< flag rows with |delta| above this
     /** Dotted path selecting the comparison root inside each document
-     *  (empty = whole document). Lets tlrstat diff one sub-record of a
+     *  (empty = whole document). Lets a diff compare one sub-record of a
      *  multi-config bench dump, e.g. --old-prefix=current. */
     std::string oldPrefix;
     std::string newPrefix;
-    /** Display names for the two inputs (tlrstat passes the file
+    /** Display names for the two inputs (tlrreport passes the file
      *  paths) so refusal/error messages can say which file carries
      *  which schema version. */
     std::string oldName = "old";
@@ -89,7 +89,7 @@ DiffReport diffStats(const JsonValue &old_doc, const JsonValue &new_doc,
  *  violations marked), plus appeared/disappeared key summaries. */
 std::string renderDiff(const DiffReport &rep, const DiffOptions &opt);
 
-/** Machine-readable report (tlrstat --json): a versioned document
+/** Machine-readable report (tlrreport --diff --json): a versioned document
  *  (diffJsonSchemaVersion) with one row object per DiffRow — including
  *  report-only rows — plus the refusal/note state, so CI can gate on
  *  specific keys without scraping the human table. */

@@ -26,7 +26,7 @@
  * number (max existing + 1) gives a stable run order without wall-
  * clock timestamps, so ledgers are reproducible and `tlrreport
  * --trend` can name *which run* a metric first regressed in — the
- * run-granularity analogue of tlrstat's first-diverging-epoch
+ * run-granularity analogue of --diff's first-diverging-epoch
  * localization.
  *
  * The manifest separates `sim` fields (deterministic inputs/outputs of

@@ -28,7 +28,7 @@
  *   renderTrendHtml     a whole ledger: per-metric series across runs,
  *                       naming the first run whose value deviates from
  *                       the run-1 baseline beyond the threshold — the
- *                       run-granularity analogue of tlrstat's first-
+ *                       run-granularity analogue of the diff's first-
  *                       diverging-epoch localization
  */
 
@@ -77,7 +77,7 @@ struct TrendReport
 /** Walk a ledger's bundles (run order) and localize, per metric, the
  *  first run that deviates from the run-1 baseline by more than
  *  @p thresholdPct percent. Per-epoch timeline keys are excluded
- *  (tlrstat already localizes those *within* a run); host-performance
+ *  (--diff already localizes those *within* a run); host-performance
  *  keys are tracked but report-only. */
 TrendReport analyzeTrend(const std::vector<LoadedBundle> &runs,
                          double thresholdPct);
@@ -85,7 +85,7 @@ TrendReport analyzeTrend(const std::vector<LoadedBundle> &runs,
 /** The single-run flight report page. */
 std::string renderFlightReport(const LoadedBundle &b);
 
-/** The A-vs-B comparison page (same DiffReport tlrstat renders). */
+/** The A-vs-B comparison page (the DiffReport renderDiff prints as text). */
 std::string renderDiffHtml(const DiffReport &rep,
                            const DiffOptions &opt);
 

@@ -5,7 +5,7 @@
  * Every versioned JSON dump (tlrsim --stats-json, bench_kernel --json,
  * BENCH_kernel.json) carries a `schema_version` plus a `meta` object
  * identifying the compiler, build flags and git revision that produced
- * it, so tools/tlrstat can refuse to diff documents whose layouts
+ * it, so `tlrreport --diff` can refuse to diff documents whose layouts
  * disagree and so perf numbers are traceable to a build.
  */
 
@@ -20,7 +20,7 @@ namespace tlr
 /** Version of the dumped stats/metrics JSON layout. v1 was the flat
  *  "group.name": value object; v2 wraps those counters under
  *  "counters" and adds meta + optional metrics sections. Bump on any
- *  shape change — tlrstat exits 2 on a version mismatch. */
+ *  shape change — tlrreport --diff exits 2 on a version mismatch. */
 inline constexpr int statsSchemaVersion = 2;
 
 /** Version of dumps that embed a "metrics" section (tlrsim with
@@ -46,7 +46,7 @@ inline constexpr int timelineSchemaVersion = 1;
  *  from a different bundle schema. Bump on any layout change. */
 inline constexpr int reportBundleSchemaVersion = 1;
 
-/** Version of the tlrstat --json diff document (one row object per
+/** Version of the `tlrreport --diff --json` document (one row object per
  *  DiffRow; src/metrics/statdiff). Bump on any shape change. */
 inline constexpr int diffJsonSchemaVersion = 1;
 
@@ -58,7 +58,7 @@ const char *buildType();     ///< CMAKE_BUILD_TYPE
 /** The complete "meta" JSON object (one line, no trailing newline). */
 std::string buildMetaJson();
 
-/** The `--version` text shared by tlrsim/tlrquery/tlrstat: tool name,
+/** The `--version` text shared by tlrsim/tlrquery/tlrreport: tool name,
  *  build metadata, and every schema version in one place. */
 std::string versionString(const char *tool);
 

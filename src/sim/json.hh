@@ -2,7 +2,7 @@
  * @file
  * Minimal JSON reader.
  *
- * tools/tlrstat must parse the simulator's own JSON dumps without any
+ * tools/tlrreport must parse the simulator's own JSON dumps without any
  * external dependency, so this is a small recursive-descent parser
  * covering the full JSON grammar the repo emits: objects (member order
  * preserved), arrays, numbers (held as double — exact for the < 2^53

@@ -39,7 +39,7 @@ class StatSet
     /** Render the counters as a versioned JSON document:
      *  {"schema_version": N, "meta": {...}, "counters": {flat}}.
      *  The "counters" subobject is the flat sorted key map (tlrsim
-     *  --stats-json; machine-readable run comparison — tlrstat).
+     *  --stats-json; machine-readable run comparison — tlrreport --diff).
      *  @p extra_sections, when non-empty, is spliced verbatim as
      *  additional top-level members (already-rendered JSON of the form
      *  `"key": {...}`); the metrics layer adds its section this way. */

@@ -2,7 +2,7 @@
  * @file
  * Metrics-layer tests: histogram bucket math and percentile
  * interpolation, merge commutativity (byte-identical JSON), the JSON
- * reader, the tlrstat diff engine, end-to-end collection through a
+ * reader, the statdiff engine, end-to-end collection through a
  * real simulation, and the zero-overhead-off contract (metrics on vs
  * off: identical cycles and counters).
  */
@@ -413,7 +413,7 @@ TEST(BuildInfo, MetaJsonIsValidAndVersioned)
 
 // The v2 -> v3 bump: embedding a metrics section switches the
 // document to metricsSchemaVersion; counter-only dumps keep the v2
-// layout bit-for-bit (zero-overhead-off), and tlrstat keeps refusing
+// layout bit-for-bit (zero-overhead-off), and the diff keeps refusing
 // to diff across the two.
 TEST(BuildInfo, MetricsSectionBumpsSchemaVersion)
 {

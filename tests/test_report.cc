@@ -5,7 +5,7 @@
  * sequencing, cross-schema refusal, SVG edge cases (empty, single
  * point, single bucket), zero-epoch timeline rendering, bundles
  * without a raw trace, trend first-regressing-run localization
- * (including the single-entry ledger), the tlrstat --json document,
+ * (including the single-entry ledger), the --diff --json document,
  * the TLR_REPORT env hook, and HTML byte-determinism across repeated
  * identical runs.
  */

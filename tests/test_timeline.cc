@@ -91,7 +91,7 @@ TEST(EpochRollup, EmptyEpochsStillEmitRows)
     tl.finish(255);
 
     // Epochs 1..4 saw no records but must appear (the CSV must have
-    // one row per epoch for tlrstat's per-epoch pairing to work).
+    // one row per epoch for the diff's per-epoch pairing to work).
     ASSERT_EQ(tl.epochs().size(), 6u);
     for (size_t i = 1; i <= 4; ++i)
         EXPECT_EQ(tl.epochs()[i].records, 0u) << "epoch " << i;

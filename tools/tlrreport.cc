@@ -9,10 +9,14 @@
  *   tlrreport --trend LEDGER_DIR      whole ledger -> trajectory page
  *
  * The HTML goes to --out (default stdout); the human-readable digest
- * always goes to stderr so piping the page never mixes streams. Exit
- * codes follow tlrstat: 0 clean, 1 usage/IO/parse error, 2 schema or
- * epoch-length refusal, 3 threshold exceeded (diff) or at least one
- * regressed metric (trend).
+ * always goes to stderr so piping the page never mixes streams.
+ * --diff takes two bundle directories or two --stats-json (or
+ * BENCH_*.json) files; --json writes the versioned diff document
+ * instead of HTML, and --old-prefix/--new-prefix pick the comparison
+ * root in each document (--old-prefix also sets --new-prefix unless
+ * that is given). Exit codes: 0 clean, 1 usage/IO/parse error, 2
+ * schema_version or timeline epoch-length refusal, 3 threshold
+ * exceeded (diff) or at least one regressed metric (trend).
  *
  * Byte-determinism contract: for the same simulation config and seed,
  * the emitted HTML is identical on any host — enforced by ctest fixtures and the CI golden-report compare.
@@ -51,8 +55,13 @@ usage()
         "                                      metric\n"
         "\n"
         "  --out=FILE          write the HTML here (default '-', stdout)\n"
-        "  --threshold=PCT     regression threshold for --diff/--trend\n"
+        "  --threshold=PCT[%%]  regression threshold for --diff/--trend\n"
         "                      (default 20)\n"
+        "  --json              --diff: write the versioned diff document\n"
+        "                      instead of HTML\n"
+        "  --old-prefix=PATH   --diff: dotted path to the comparison\n"
+        "                      root in A (also sets --new-prefix)\n"
+        "  --new-prefix=PATH   --diff: comparison root in B\n"
         "  --version           print build and schema versions\n"
         "\n"
         "exit codes: 0 clean; 1 usage/IO error; 2 schema refusal;\n"
@@ -154,24 +163,23 @@ runReport(const std::string &dir, const std::string &outPath)
 
 int
 runDiff(const std::string &oldPath, const std::string &newPath,
-        const std::string &outPath, double thresholdPct)
+        const std::string &outPath, tlr::DiffOptions opt, bool json)
 {
-    tlr::DiffOptions opt;
-    opt.thresholdPct = thresholdPct;
     tlr::JsonValue oldDoc, newDoc;
     if (!loadDiffOperand(oldPath, oldDoc, opt.oldName) ||
         !loadDiffOperand(newPath, newDoc, opt.newName))
         return 1;
     tlr::DiffReport rep = tlr::diffStats(oldDoc, newDoc, opt);
-    int rc = writeOutput(outPath, tlr::renderDiffHtml(rep, opt));
+    int rc = writeOutput(outPath, json ? tlr::renderDiffJson(rep, opt)
+                                       : tlr::renderDiffHtml(rep, opt));
     if (rc != 0)
         return rc;
-    // The same text tlrstat prints, so CI logs read identically
-    // whichever tool rendered the comparison.
     std::string text = tlr::renderDiff(rep, opt);
     std::fwrite(text.data(), 1, text.size(), stderr);
-    if (!rep.ok())
-        return rep.error.empty() ? 2 : 1;
+    if (rep.schemaMismatch || rep.timelineEpochMismatch)
+        return 2;
+    if (!rep.error.empty())
+        return 1;
     return rep.exceeded ? 3 : 0;
 }
 
@@ -216,6 +224,8 @@ main(int argc, char **argv)
     std::string outPath = "-";
     std::string threshold;
     bool diffMode = false, trendMode = false;
+    tlr::DiffOptions diffOpt;
+    bool json = false, prefixSet = false, newPrefixSet = false;
     std::vector<std::string> operands;
 
     for (int i = 1; i < argc; ++i) {
@@ -231,6 +241,16 @@ main(int argc, char **argv)
             diffMode = true;
         } else if (std::strcmp(arg, "--trend") == 0) {
             trendMode = true;
+        } else if (std::strcmp(arg, "--json") == 0) {
+            json = true;
+        } else if (parseFlag(arg, "--old-prefix", val)) {
+            diffOpt.oldPrefix = val;
+            if (!newPrefixSet)
+                diffOpt.newPrefix = val;
+            prefixSet = true;
+        } else if (parseFlag(arg, "--new-prefix", val)) {
+            diffOpt.newPrefix = val;
+            prefixSet = newPrefixSet = true;
         } else if (parseFlag(arg, "--out", val)) {
             outPath = val;
         } else if (parseFlag(arg, "--threshold", val)) {
@@ -247,9 +267,12 @@ main(int argc, char **argv)
 
     double thresholdPct = 20.0;
     if (!threshold.empty()) {
+        std::string pct = threshold;
+        if (pct.back() == '%')
+            pct.pop_back();
         char *end = nullptr;
-        thresholdPct = std::strtod(threshold.c_str(), &end);
-        if (end == threshold.c_str() || *end || thresholdPct < 0) {
+        thresholdPct = std::strtod(pct.c_str(), &end);
+        if (end == pct.c_str() || *end || thresholdPct < 0) {
             std::fprintf(stderr,
                          "tlrreport: bad --threshold value '%s'\n",
                          threshold.c_str());
@@ -262,6 +285,11 @@ main(int argc, char **argv)
                      "tlrreport: --diff and --trend are exclusive\n");
         return 1;
     }
+    if (!diffMode && (json || prefixSet)) {
+        std::fprintf(stderr, "tlrreport: --json, --old-prefix and "
+                             "--new-prefix need --diff\n");
+        return 1;
+    }
     if (diffMode) {
         if (operands.size() != 2) {
             std::fprintf(stderr,
@@ -269,7 +297,8 @@ main(int argc, char **argv)
             usage();
             return 1;
         }
-        return runDiff(operands[0], operands[1], outPath, thresholdPct);
+        diffOpt.thresholdPct = thresholdPct;
+        return runDiff(operands[0], operands[1], outPath, diffOpt, json);
     }
     if (trendMode) {
         if (operands.size() != 1) {
