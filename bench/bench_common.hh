@@ -1,28 +1,26 @@
 /**
  * @file
  * Shared scaffolding for the figure-reproduction benchmarks: each
- * bench binary registers one google-benchmark per (scheme, x-value)
- * configuration, caches the simulation result, and prints the
- * paper-style table after the benchmark run.
+ * bench binary registers one simulation per (scheme, x-value)
+ * configuration, runs the whole grid once through runSweep
+ * (harness/sweep.hh) on `--jobs` host threads, and prints the
+ * paper-style tables from the results.
  *
- * All registered simulations also land in a registry so `--jobs=N`
- * can pre-run the whole grid on a host thread pool (harness/sweep.hh)
- * before google-benchmark replays the (now cached) configurations.
- * The result cache is mutex-guarded: concurrent sweep workers insert
- * results, and std::map guarantees the references handed out stay
- * stable.
+ * The tables are simulated cycles only, so stdout is a pure function
+ * of the configuration: the same for every `--jobs` value. Host time
+ * is measured by tlrbench/, not here.
  */
 
 #ifndef TLR_BENCH_COMMON_HH
 #define TLR_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,17 +36,8 @@ namespace tlrbench
 using tlr::RunStats;
 using tlr::Scheme;
 
-/** Guards results(); hold it for every cache access. */
-inline std::mutex &
-resultsMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-/** Cache of simulation results keyed by an arbitrary config string.
- *  Access under resultsMutex() while simulations may be running;
- *  table printers run after the sweep and may read freely. */
+/** Simulation results keyed by config string. benchMain fills it on
+ *  the main thread once the sweep is done; table printers read it. */
 inline std::map<std::string, RunStats> &
 results()
 {
@@ -56,54 +45,19 @@ results()
     return r;
 }
 
-/** Run-once-and-cache wrapper, safe under the parallel sweep. The
- *  simulation itself runs outside the lock; on a duplicate-key race
- *  the first inserted result wins (both are identical anyway — runs
- *  are deterministic functions of the config). */
-inline const RunStats &
-cachedRun(const std::string &key, const std::function<RunStats()> &fn)
+/** Every simulation registered by this binary, in registration order. */
+inline std::vector<tlr::SweepTask> &
+sweepTasks()
 {
-    {
-        std::lock_guard<std::mutex> g(resultsMutex());
-        auto it = results().find(key);
-        if (it != results().end())
-            return it->second;
-    }
-    RunStats r = fn();
-    std::lock_guard<std::mutex> g(resultsMutex());
-    return results().emplace(key, std::move(r)).first->second;
+    static std::vector<tlr::SweepTask> t;
+    return t;
 }
 
-/** Every simulation registered by this binary, for --jobs prewarming. */
-inline std::vector<std::pair<std::string, std::function<RunStats()>>> &
-simRegistry()
-{
-    static std::vector<std::pair<std::string, std::function<RunStats()>>> r;
-    return r;
-}
-
-/** Register a benchmark that performs (or reuses) one simulation and
- *  reports the simulated cycle count as a counter. */
+/** Register one simulation; its result lands in results()[name]. */
 inline void
 registerSim(const std::string &name, std::function<RunStats()> fn)
 {
-    simRegistry().emplace_back(name, fn);
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [name, fn](benchmark::State &state) {
-            for (auto _ : state) {
-                const RunStats &r = cachedRun(name, fn);
-                benchmark::DoNotOptimize(&r);
-            }
-            const RunStats &r = results().at(name);
-            state.counters["simCycles"] =
-                static_cast<double>(r.cycles);
-            state.counters["restarts"] =
-                static_cast<double>(r.restarts);
-            state.counters["valid"] = r.valid ? 1 : 0;
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    sweepTasks().push_back({name, std::move(fn)});
 }
 
 /** The four schemes every microbenchmark figure compares. */
@@ -121,7 +75,7 @@ procCounts()
     return {2, 4, 6, 8, 10, 12, 14, 16};
 }
 
-/** Canonical cache key for a (figure, scheme, cpu-count) cell. */
+/** Canonical results() key for a (figure, scheme, cpu-count) cell. */
 inline std::string
 gridKey(const std::string &prefix, Scheme s, int procs)
 {
@@ -184,7 +138,7 @@ printSchemeGrid(const std::string &title, const std::string &prefix,
 }
 
 /**
- * One-line latency/contention digest per cached config, printed when
+ * One-line latency/contention digest per config, printed when
  * the runs carried metrics (TLR_METRICS=1 makes runScheme() attach a
  * MetricsCollector). Silent otherwise, so default bench output is
  * unchanged.
@@ -276,51 +230,51 @@ maybePrintReportLedgerNote()
                 dir.c_str(), dir.c_str(), dir.c_str());
 }
 
-/** Pre-run every registered simulation on @p jobs host threads. */
-inline void
-prewarmRegistry(unsigned jobs)
+/** The value of `--jobs=N`: a decimal count, 0 = hardware
+ *  concurrency. @return false for anything else. */
+inline bool
+parseJobs(const char *v, unsigned &jobs)
 {
-    std::vector<tlr::SweepTask> tasks;
-    tasks.reserve(simRegistry().size());
-    for (const auto &[name, fn] : simRegistry()) {
-        const std::string &key = name;
-        const std::function<RunStats()> &f = fn;
-        tasks.push_back(
-            {key, [key, f] { return cachedRun(key, f); }});
-    }
-    tlr::runSweep(tasks, jobs);
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long n = std::strtoul(v, &end, 10);
+    if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE ||
+        n > std::numeric_limits<unsigned>::max())
+        return false;
+    jobs = static_cast<unsigned>(n);
+    return true;
 }
 
 /**
- * Standard driver: init benchmark lib, register, run, print table.
+ * Standard driver: register the grid, run it, print the tables.
  *
- * Accepts `--jobs=N` ahead of the google-benchmark flags: N > 1
- * pre-runs the whole simulation grid on N host threads, so the
- * subsequent benchmark pass replays cached results and total
- * wall-clock drops by roughly the core count. N = 0 means hardware
- * concurrency. Default (1) keeps the serial timing behavior.
+ * Accepts only `--jobs=N` (default 1; 0 = hardware concurrency),
+ * which sets how many simulations runSweep runs at once. Any other
+ * argument, or a malformed N, prints @p usage and exits 1.
  */
 inline int
 benchMain(int argc, char **argv, const std::function<void()> &register_fn,
-          const std::function<void()> &print_fn)
+          const std::function<void()> &print_fn,
+          const char *usage = "[--jobs=N]")
 {
     unsigned jobs = 1;
-    int out = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            long v = std::atol(argv[i] + 7);
-            jobs = v >= 0 ? static_cast<unsigned>(v) : 1;
-            continue; // strip: google-benchmark rejects unknown flags
-        }
-        argv[out++] = argv[i];
+        const bool isJobs = std::strncmp(argv[i], "--jobs=", 7) == 0;
+        if (isJobs && parseJobs(argv[i] + 7, jobs))
+            continue;
+        if (isJobs)
+            std::fprintf(stderr, "%s: invalid value for --jobs: '%s'\n",
+                         argv[0], argv[i] + 7);
+        else
+            std::fprintf(stderr, "%s: unknown flag: %s\n", argv[0],
+                         argv[i]);
+        std::fprintf(stderr, "usage: %s %s\n", argv[0], usage);
+        return 1;
     }
-    argc = out;
-    benchmark::Initialize(&argc, argv);
     register_fn();
-    if (jobs != 1)
-        prewarmRegistry(jobs);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    std::vector<tlr::SweepResult> res = tlr::runSweep(sweepTasks(), jobs);
+    for (std::size_t i = 0; i < res.size(); ++i)
+        results().emplace(sweepTasks()[i].key, std::move(res[i].stats));
     print_fn();
     maybePrintMetricsTable();
     maybePrintExplainReports();

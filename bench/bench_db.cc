@@ -7,12 +7,12 @@
  * Unlike the figure benches this one always attaches the metrics
  * collector: the point is the abort/contention profile — how the
  * restart rate and the hottest lock respond to key skew under each
- * scheme. `--jobs=N` pre-runs the grid on N host threads;
+ * scheme. `--jobs=N` runs the grid on N host threads;
  * `--bench-json=FILE` dumps the per-config digest (cycles, commits,
  * restarts, abort rate, hottest lock) as a versioned JSON document
  * for tooling (tests assert the TLR abort metrics rise with theta).
  *
- * Usage: bench_db [--jobs=N] [--bench-json=FILE] [gbench flags]
+ * Usage: bench_db [--jobs=N] [--bench-json=FILE]
  */
 
 #include "bench_common.hh"
@@ -209,8 +209,8 @@ writeBenchJson(const std::string &file)
 int
 main(int argc, char **argv)
 {
-    // Strip --bench-json before the shared driver (google-benchmark
-    // rejects flags it does not know).
+    // --bench-json is this binary's own flag; the shared driver
+    // refuses every flag but --jobs.
     std::string jsonFile;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
@@ -220,8 +220,8 @@ main(int argc, char **argv)
         }
         argv[out++] = argv[i];
     }
-    argc = out;
-    int rc = benchMain(argc, argv, registerAll, printTable);
+    int rc = benchMain(out, argv, registerAll, printTable,
+                       "[--jobs=N] [--bench-json=FILE]");
     if (rc == 0 && !jsonFile.empty())
         writeBenchJson(jsonFile);
     return rc;

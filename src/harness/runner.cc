@@ -12,18 +12,28 @@ namespace tlr
 namespace
 {
 
+/** The nearest canonical scheme label for a machine built by hand
+ *  (runWorkload callers hand over a SpecConfig, not a Scheme; MCS has
+ *  BASE's spec flags, so it reads as BASE here). */
+const char *
+specSchemeName(const SpecConfig &spec)
+{
+    if (spec.enableTlr)
+        return schemeName(spec.strictTimestamps ? Scheme::TlrStrictTs
+                                                : Scheme::BaseSleTlr);
+    return schemeName(spec.enableSle ? Scheme::BaseSle : Scheme::Base);
+}
+
 /** TLR_REPORT hook: append a run bundle for this run to the ledger
  *  directory named by the environment, mirroring what `tlrsim
  *  --report-dir` records. Lives here so every harness entry point —
  *  bench binaries, figure generators, exp_* experiments — gets flight
- *  reports without growing its own flag. The scheme label is derived
- *  from the spec flags (callers hand us a SpecConfig, not a Scheme;
- *  experiment variants with tweaked knobs report the nearest canonical
- *  label). Failures warn and continue: telemetry must never kill a
+ *  reports without growing its own flag. The bundle is filed under
+ *  @p scheme. Failures warn and continue: telemetry must never kill a
  *  run. */
 void
 maybeWriteEnvBundle(const MachineParams &mp, const Workload &wl,
-                    System &sys, const RunStats &r)
+                    const char *scheme, System &sys, const RunStats &r)
 {
     const char *dir = std::getenv("TLR_REPORT");
     if (!dir || !*dir)
@@ -31,11 +41,7 @@ maybeWriteEnvBundle(const MachineParams &mp, const Workload &wl,
 
     BundleMeta bm;
     bm.workload = wl.name;
-    bm.scheme = mp.spec.enableTlr
-                    ? (mp.spec.strictTimestamps
-                           ? "BASE+SLE+TLR-strict-ts"
-                           : "BASE+SLE+TLR")
-                    : (mp.spec.enableSle ? "BASE+SLE" : "BASE");
+    bm.scheme = scheme;
     bm.protocol =
         mp.protocol == Protocol::Directory ? "directory" : "broadcast";
     bm.cpus = mp.numCpus;
@@ -76,10 +82,10 @@ maybeWriteEnvBundle(const MachineParams &mp, const Workload &wl,
         std::fprintf(stderr, "report: wrote bundle %s\n", entry.c_str());
 }
 
-} // namespace
-
+/** runWorkload, filing a TLR_REPORT bundle under @p scheme. */
 RunStats
-runWorkload(const MachineParams &mp, const Workload &wl)
+runLabelled(const MachineParams &mp, const Workload &wl,
+            const char *scheme)
 {
     System sys(mp);
     installWorkload(sys, wl);
@@ -115,8 +121,16 @@ runWorkload(const MachineParams &mp, const Workload &wl)
     if (sys.timeline())
         r.timelineReport = std::make_shared<std::string>(
             sys.timeline()->report());
-    maybeWriteEnvBundle(mp, wl, sys, r);
+    maybeWriteEnvBundle(mp, wl, scheme, sys, r);
     return r;
+}
+
+} // namespace
+
+RunStats
+runWorkload(const MachineParams &mp, const Workload &wl)
+{
+    return runLabelled(mp, wl, specSchemeName(mp.spec));
 }
 
 RunStats
@@ -129,7 +143,7 @@ runScheme(Scheme scheme, int num_cpus, const Workload &wl, Tick max_ticks)
     mp.collectMetrics = envMetrics();
     mp.explain = envExplain();
     mp.timelineEpoch = envTimelineEpoch();
-    return runWorkload(mp, wl);
+    return runLabelled(mp, wl, schemeName(scheme));
 }
 
 std::uint64_t

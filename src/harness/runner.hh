@@ -71,10 +71,12 @@ struct RunStats
     }
 };
 
-/** Run @p wl on a machine configured by @p mp. */
+/** Run @p wl on a machine configured by @p mp. A TLR_REPORT bundle is
+ *  filed under the scheme label that @p mp's spec flags name. */
 RunStats runWorkload(const MachineParams &mp, const Workload &wl);
 
-/** Convenience: configure the machine for @p scheme and run. */
+/** Convenience: configure the machine for @p scheme and run. A
+ *  TLR_REPORT bundle is filed under schemeName(@p scheme). */
 RunStats runScheme(Scheme scheme, int num_cpus, const Workload &wl,
                    Tick max_ticks = 2'000'000'000ull);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <map>
 
@@ -53,25 +52,6 @@ schemaOf(const JsonValue &doc)
 }
 
 } // namespace
-
-// Matched on the suffix of the final path component so prefixed
-// variants (sim_events_per_sec) are covered too.
-bool
-isHostPerfKey(const std::string &key)
-{
-    size_t dot = key.rfind('.');
-    std::string leaf = dot == std::string::npos ? key
-                                                : key.substr(dot + 1);
-    for (const char *suffix :
-         {"host_threads", "speedup", "efficiency", "wall_sec",
-          "events_per_sec"}) {
-        size_t n = std::strlen(suffix);
-        if (leaf.size() >= n &&
-            leaf.compare(leaf.size() - n, n, suffix) == 0)
-            return true;
-    }
-    return false;
-}
 
 void
 flattenNumbers(const JsonValue &v,
@@ -144,14 +124,6 @@ diffStats(const JsonValue &old_doc, const JsonValue &new_doc,
     std::map<std::string, double> oldMap(oldFlat.begin(), oldFlat.end());
     std::map<std::string, double> newMap(newFlat.begin(), newFlat.end());
 
-    {
-        auto oldHt = oldMap.find("host_threads");
-        auto newHt = newMap.find("host_threads");
-        rep.hostThreadsDiffer = oldHt != oldMap.end() &&
-                                newHt != newMap.end() &&
-                                oldHt->second != newHt->second;
-    }
-
     for (const auto &[key, oldVal] : oldMap) {
         auto it = newMap.find(key);
         if (it == newMap.end()) {
@@ -168,9 +140,7 @@ diffStats(const JsonValue &old_doc, const JsonValue &new_doc,
             row.relPct = std::numeric_limits<double>::infinity();
         else
             row.relPct = 100.0 * (it->second - oldVal) / std::abs(oldVal);
-        row.reportOnly = rep.hostThreadsDiffer && isHostPerfKey(key);
-        row.exceeded = !row.reportOnly &&
-                       std::abs(row.relPct) > opt.thresholdPct;
+        row.exceeded = std::abs(row.relPct) > opt.thresholdPct;
         if (row.exceeded)
             ++rep.exceeded;
         rep.rows.push_back(std::move(row));
@@ -240,19 +210,13 @@ renderDiff(const DiffReport &rep, const DiffOptions &opt)
         return out;
     }
 
-    if (rep.hostThreadsDiffer)
-        out += "note: host_threads differs between the runs; host-"
-               "performance keys (speedup, efficiency, wall_sec, "
-               "events_per_sec) are report-only and not gated\n";
     size_t changed = 0;
     out += strfmt("%-44s %14s %14s %9s\n", "key", "old", "new", "delta%");
     for (const DiffRow &r : rep.rows) {
         if (r.relPct == 0)
             continue;
         ++changed;
-        const char *mark = r.exceeded     ? "  <-- EXCEEDS" :
-                           r.reportOnly   ? "  (report-only)" :
-                                            "";
+        const char *mark = r.exceeded ? "  <-- EXCEEDS" : "";
         if (std::isinf(r.relPct))
             out += strfmt("%-44s %14.6g %14.6g %9s%s\n", r.key.c_str(),
                           r.oldVal, r.newVal, "inf", mark);
@@ -336,8 +300,6 @@ renderDiffJson(const DiffReport &rep, const DiffOptions &opt)
     }
 
     out += "  \"refused\": false,\n";
-    out += strfmt("  \"host_threads_differ\": %s,\n",
-                  rep.hostThreadsDiffer ? "true" : "false");
     size_t changed = 0;
     out += "  \"rows\": [\n";
     for (size_t i = 0; i < rep.rows.size(); ++i) {
@@ -348,9 +310,8 @@ renderDiffJson(const DiffReport &rep, const DiffOptions &opt)
                ", \"old\": " + jsonNum(r.oldVal) +
                ", \"new\": " + jsonNum(r.newVal) +
                ", \"rel_pct\": " + jsonNum(r.relPct) +
-               strfmt(", \"exceeded\": %s, \"report_only\": %s}%s\n",
+               strfmt(", \"exceeded\": %s}%s\n",
                       r.exceeded ? "true" : "false",
-                      r.reportOnly ? "true" : "false",
                       i + 1 < rep.rows.size() ? "," : "");
     }
     out += "  ],\n";

@@ -42,10 +42,6 @@ struct DiffRow
     double newVal = 0;
     double relPct = 0;  ///< 100*(new-old)/old; 0 when old==new==0
     bool exceeded = false;
-    /** Shown but never gated: a host-performance key (speedup,
-     *  efficiency, wall time, events/sec, host_threads) compared
-     *  across runs recorded on different host-thread budgets. */
-    bool reportOnly = false;
 };
 
 struct DiffReport
@@ -61,11 +57,6 @@ struct DiffReport
     /** Per-epoch regression localization: one line per timeline field
      *  that changed, naming the first diverging epoch. */
     std::vector<std::string> timelineNotes;
-    /** Both documents record host_threads and the values differ: the
-     *  runs used different host parallelism, so host-performance
-     *  comparisons (speedup, wall time, events/sec) are meaningless.
-     *  Those keys are reported but excluded from threshold gating. */
-    bool hostThreadsDiffer = false;
     std::string error;       ///< non-empty on structural failure
     long oldSchema = -1;     ///< -1 = legacy (no schema_version field)
     long newSchema = -1;
@@ -90,16 +81,10 @@ DiffReport diffStats(const JsonValue &old_doc, const JsonValue &new_doc,
 std::string renderDiff(const DiffReport &rep, const DiffOptions &opt);
 
 /** Machine-readable report (tlrreport --diff --json): a versioned document
- *  (diffJsonSchemaVersion) with one row object per DiffRow — including
- *  report-only rows — plus the refusal/note state, so CI can gate on
- *  specific keys without scraping the human table. */
+ *  (diffJsonSchemaVersion) with one row object per DiffRow plus the
+ *  refusal state, so CI can gate on specific keys without scraping the
+ *  human table. */
 std::string renderDiffJson(const DiffReport &rep, const DiffOptions &opt);
-
-/** True for host-performance keys (speedup, efficiency, wall_sec,
- *  events_per_sec, host_threads — matched on the final path component):
- *  meaningful only when both runs used the same host-thread budget.
- *  Shared with tlrreport --trend, which marks them report-only. */
-bool isHostPerfKey(const std::string &key);
 
 /** Flatten every numeric leaf under @p v into @p out as
  *  ("a.b.c", value) pairs. Skips the schema_version field and the

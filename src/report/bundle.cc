@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
 #include <dirent.h>
@@ -187,6 +188,11 @@ std::string
 writeRunBundle(const std::string &ledgerDir, const BundleMeta &meta,
                const BundleArtifacts &art, std::string &err)
 {
+    // Sweep workers append concurrently (TLR_REPORT under --jobs).
+    // An entry is visible to the sequence scan only once its manifest
+    // is written, so one append runs at a time.
+    static std::mutex appendMutex;
+    std::lock_guard<std::mutex> lock(appendMutex);
     if (!makeDirs(ledgerDir, err))
         return "";
 

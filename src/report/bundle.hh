@@ -100,7 +100,9 @@ std::string renderManifest(const BundleMeta &meta,
                            const BundleArtifacts &art);
 
 /** Create LEDGER/<seq>-<slug>/ (making the ledger directory if
- *  needed), write the manifest and every present artifact.
+ *  needed), write the manifest and every present artifact. Threads of
+ *  one process may call it at once: appends are serialized, so each
+ *  gets its own sequence number, in the order the appends arrive.
  *  @return the entry directory path; empty with @p err set on any
  *          filesystem failure. */
 std::string writeRunBundle(const std::string &ledgerDir,

@@ -618,10 +618,6 @@ renderDiffHtml(const DiffReport &rep, const DiffOptions &opt)
         return os.str();
     }
 
-    if (rep.hostThreadsDiffer)
-        os << "<p class=\"muted\">host_threads differs between the "
-              "runs; host-performance keys are report-only</p>\n";
-
     size_t changed = 0;
     for (const DiffRow &r : rep.rows)
         if (r.relPct != 0)
@@ -644,8 +640,7 @@ renderDiffHtml(const DiffReport &rep, const DiffOptions &opt)
             os << "<tr><td class=\"k\">" << htmlEsc(r.key) << "</td><td>"
                << fmtNum(r.oldVal) << "</td><td>" << fmtNum(r.newVal)
                << "</td><td>" << delta << "</td><td class=\"k\">"
-               << (r.exceeded ? "EXCEEDS"
-                              : r.reportOnly ? "report-only" : "")
+               << (r.exceeded ? "EXCEEDS" : "")
                << "</td></tr>\n";
         }
         os << "</table>\n";
@@ -715,7 +710,6 @@ analyzeTrend(const std::vector<LoadedBundle> &runs, double thresholdPct)
         TrendRow row;
         row.key = key;
         row.baseline = base;
-        row.reportOnly = isHostPerfKey(key);
         bool everywhere = true;
         bool changed = false;
         for (size_t i = 0; i < runs.size(); ++i) {
@@ -739,7 +733,7 @@ analyzeTrend(const std::vector<LoadedBundle> &runs, double thresholdPct)
                 row.final_ = v;
                 row.finalRelPct = rel;
             }
-            if (!row.reportOnly && row.firstRegressRun < 0 &&
+            if (row.firstRegressRun < 0 &&
                 std::abs(rel) > thresholdPct) {
                 row.firstRegressRun = static_cast<int>(i);
                 row.firstVal = v;
@@ -821,8 +815,7 @@ renderTrendHtml(const TrendReport &t, double thresholdPct)
             std::isinf(r.finalRelPct)
                 ? std::string("inf")
                 : strfmt("%+.1f%%", r.finalRelPct);
-        os << "<tr><td class=\"k\">" << htmlEsc(r.key)
-           << (r.reportOnly ? " (report-only)" : "") << "</td><td>"
+        os << "<tr><td class=\"k\">" << htmlEsc(r.key) << "</td><td>"
            << svgSparkline(shifted, markers, 160, 28) << "</td><td>"
            << fmtNum(r.baseline) << "</td><td>" << fmtNum(r.final_)
            << "</td><td>" << finalDelta << "</td><td class=\"k\">";

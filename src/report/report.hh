@@ -23,8 +23,7 @@
  *                       invariant/validator status
  *   renderDiffHtml      two runs through src/metrics/statdiff: every
  *                       changed key, threshold violations highlighted,
- *                       host-perf keys dimmed, first-diverging-epoch
- *                       notes
+ *                       first-diverging-epoch notes
  *   renderTrendHtml     a whole ledger: per-metric series across runs,
  *                       naming the first run whose value deviates from
  *                       the run-1 baseline beyond the threshold — the
@@ -55,11 +54,10 @@ struct TrendRow
     double finalRelPct = 0;  ///< final vs baseline
     /** First run index whose |value vs baseline| exceeds the
      *  threshold; -1 = never (the metric drifted but stayed inside
-     *  the threshold, or is report-only). */
+     *  the threshold). */
     int firstRegressRun = -1;
     double firstVal = 0;     ///< value at that run
     double firstRelPct = 0;  ///< its deviation vs baseline
-    bool reportOnly = false; ///< host-perf key: shown, never gated
 };
 
 struct TrendReport
@@ -77,8 +75,7 @@ struct TrendReport
 /** Walk a ledger's bundles (run order) and localize, per metric, the
  *  first run that deviates from the run-1 baseline by more than
  *  @p thresholdPct percent. Per-epoch timeline keys are excluded
- *  (--diff already localizes those *within* a run); host-performance
- *  keys are tracked but report-only. */
+ *  (--diff already localizes those *within* a run). */
 TrendReport analyzeTrend(const std::vector<LoadedBundle> &runs,
                          double thresholdPct);
 

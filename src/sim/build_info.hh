@@ -2,8 +2,8 @@
  * @file
  * Build/host metadata and the stats JSON schema version.
  *
- * Every versioned JSON dump (tlrsim --stats-json, bench_kernel --json,
- * BENCH_kernel.json) carries a `schema_version` plus a `meta` object
+ * Every versioned JSON dump (tlrsim --stats-json, bench_db
+ * --bench-json) carries a `schema_version` plus a `meta` object
  * identifying the compiler, build flags and git revision that produced
  * it, so `tlrreport --diff` can refuse to diff documents whose layouts
  * disagree and so perf numbers are traceable to a build.
@@ -47,8 +47,9 @@ inline constexpr int timelineSchemaVersion = 1;
 inline constexpr int reportBundleSchemaVersion = 1;
 
 /** Version of the `tlrreport --diff --json` document (one row object per
- *  DiffRow; src/metrics/statdiff). Bump on any shape change. */
-inline constexpr int diffJsonSchemaVersion = 1;
+ *  DiffRow; src/metrics/statdiff). v2 drops v1's `host_threads_differ`
+ *  and per-row `report_only` fields. Bump on any shape change. */
+inline constexpr int diffJsonSchemaVersion = 2;
 
 const char *buildCompiler(); ///< e.g. "gcc 13.2.0"
 const char *buildFlags();    ///< CMAKE_CXX_FLAGS the library was built with

@@ -68,7 +68,8 @@ class EventQueue
     /** Near-future horizon of the timing wheel, in ticks. */
     static constexpr std::size_t wheelSlots = 512;
 
-    /** Host-side kernel counters (bench_kernel; not simulated state). */
+    /** Host-side kernel counters (tlrbench per-layer counts; not
+     *  simulated state). */
     struct KernelStats
     {
         std::uint64_t inlineEvents = 0;  ///< captures stored in-node

@@ -225,47 +225,28 @@ TEST(StatDiff, PrefixSelectsComparisonRoot)
     EXPECT_FALSE(diffStats(doc, doc, opt).ok());
 }
 
-TEST(StatDiff, HostThreadsMismatchMakesHostPerfReportOnly)
+TEST(StatDiff, HostTimeKeysGateLikeAnyOtherKey)
 {
-    // Baseline recorded on a different host-thread budget: speedup,
-    // efficiency, wall time and events/sec comparisons are
-    // meaningless, so they are reported but never gate (exceeded);
-    // simulated metrics still gate normally.
+    // No key is exempt from the threshold: host_threads, speedup,
+    // wall time and events/sec flag exactly as simulated counts do.
     JsonValue oldDoc = mustParse(
         "{\"schema_version\": 2, \"host_threads\": 8,"
         " \"threads_4_speedup\": 3.0, \"threads_4_wall_sec\": 1.0,"
         " \"threads_4_events_per_sec\": 4e6,"
-        " \"threads_4_efficiency\": 0.75,"
         " \"simulated_cycles\": 1000}");
     JsonValue newDoc = mustParse(
         "{\"schema_version\": 2, \"host_threads\": 1,"
         " \"threads_4_speedup\": 0.5, \"threads_4_wall_sec\": 9.0,"
         " \"threads_4_events_per_sec\": 4e5,"
-        " \"threads_4_efficiency\": 0.12,"
         " \"simulated_cycles\": 2000}");
     DiffOptions opt;
     opt.thresholdPct = 20;
     DiffReport rep = diffStats(oldDoc, newDoc, opt);
     ASSERT_TRUE(rep.ok());
-    EXPECT_TRUE(rep.hostThreadsDiffer);
-    EXPECT_EQ(rep.exceeded, 1u); // only simulated_cycles gates
-    for (const DiffRow &r : rep.rows) {
-        if (r.key == "simulated_cycles") {
-            EXPECT_TRUE(r.exceeded);
-            EXPECT_FALSE(r.reportOnly);
-        } else {
-            EXPECT_TRUE(r.reportOnly) << r.key;
-            EXPECT_FALSE(r.exceeded) << r.key;
-        }
-    }
+    EXPECT_EQ(rep.exceeded, rep.rows.size());
     std::string text = renderDiff(rep, opt);
-    EXPECT_NE(text.find("host_threads differs"), std::string::npos);
-    EXPECT_NE(text.find("(report-only)"), std::string::npos);
-
-    // Same host_threads: everything gates as usual.
-    DiffReport same = diffStats(oldDoc, oldDoc, opt);
-    EXPECT_FALSE(same.hostThreadsDiffer);
-    EXPECT_EQ(same.exceeded, 0u);
+    EXPECT_EQ(text.find("host_threads differs"), std::string::npos);
+    EXPECT_EQ(text.find("report-only"), std::string::npos);
 }
 
 namespace

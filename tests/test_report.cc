@@ -6,13 +6,14 @@
  * point, single bucket), zero-epoch timeline rendering, bundles
  * without a raw trace, trend first-regressing-run localization
  * (including the single-entry ledger), the --diff --json document,
- * the TLR_REPORT env hook, and HTML byte-determinism across repeated
- * identical runs.
+ * the TLR_REPORT env hook (scheme label, parallel appends), and HTML
+ * byte-determinism across repeated identical runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <latch>
 #include <string>
 #include <vector>
 
@@ -20,11 +21,13 @@
 
 #include "harness/runner.hh"
 #include "harness/scheme.hh"
+#include "harness/sweep.hh"
 #include "metrics/statdiff.hh"
 #include "report/bundle.hh"
 #include "report/report.hh"
 #include "sim/build_info.hh"
 #include "sim/json.hh"
+#include "sim/logging.hh"
 #include "workloads/micro.hh"
 
 using namespace tlr;
@@ -273,6 +276,63 @@ TEST(Report, FullBundleViaEnvHookAndDeterminism)
     EXPECT_EQ(htmlA.find("compiler"), std::string::npos);
 }
 
+TEST(Report, EnvHookFilesRunSchemeUnderItsSchemeName)
+{
+    // MCS has BASE's spec flags; runScheme still knows which it ran.
+    std::string ledger = scratchDir();
+    MicroParams p;
+    p.numCpus = 2;
+    p.totalOps = 32;
+    p.lockKind = schemeLockKind(Scheme::Mcs);
+    ::setenv("TLR_REPORT", ledger.c_str(), 1);
+    RunStats r = runScheme(Scheme::Mcs, 2, makeSingleCounter(p));
+    ::unsetenv("TLR_REPORT");
+    EXPECT_TRUE(r.completed && r.valid);
+
+    std::vector<std::string> entries = listLedger(ledger);
+    ASSERT_EQ(entries.size(), 1u);
+    LoadedBundle b;
+    std::string err;
+    ASSERT_TRUE(loadBundle(entries[0], b, err)) << err;
+    EXPECT_EQ(resolvePath(b.manifest, "sim.scheme")->string, "MCS");
+    EXPECT_EQ(b.name, "0001-single-counter-mcs-p2");
+}
+
+TEST(Report, EnvHookUnderParallelSweepNumbersEveryEntry)
+{
+    // Sweep workers append to one ledger at once; no two entries may
+    // share a sequence number (a shared slug would overwrite). Each of
+    // the 4 workers takes one of tasks 0-3 first; the latch starts
+    // those identical simulations together so their appends collide.
+    std::string ledger = scratchDir();
+    std::latch start(4);
+    std::vector<SweepTask> tasks;
+    for (int i = 0; i < 6; ++i) {
+        tasks.push_back({"t" + std::to_string(i), [i, &start] {
+                             if (i < 4)
+                                 start.arrive_and_wait();
+                             MicroParams p;
+                             p.numCpus = 2;
+                             p.totalOps = 32;
+                             return runScheme(Scheme::BaseSleTlr, 2,
+                                              makeSingleCounter(p));
+                         }});
+    }
+    ::setenv("TLR_REPORT", ledger.c_str(), 1);
+    std::vector<SweepResult> res = runSweep(tasks, 4);
+    ::unsetenv("TLR_REPORT");
+    ASSERT_EQ(res.size(), 6u);
+
+    std::vector<std::string> entries = listLedger(ledger);
+    ASSERT_EQ(entries.size(), 6u);
+    for (size_t i = 0; i < entries.size(); ++i) {
+        std::string want =
+            strfmt("/%04zu-single-counter-base-sle-tlr-p2", i + 1);
+        EXPECT_EQ(entries[i].substr(entries[i].size() - want.size()),
+                  want);
+    }
+}
+
 /** Three-run ledger with a regression injected at the third run. */
 std::vector<LoadedBundle>
 syntheticLedger()
@@ -300,7 +360,7 @@ TEST(Trend, NamesFirstRegressingRun)
     TrendReport t = analyzeTrend(runs, 20.0);
     ASSERT_TRUE(t.ok()) << t.error;
     EXPECT_EQ(t.compared, 3u);
-    EXPECT_EQ(t.regressed, 1u);
+    EXPECT_EQ(t.regressed, 2u);
 
     const TrendRow *cycles = nullptr, *wall = nullptr;
     for (const TrendRow &r : t.rows) {
@@ -314,10 +374,9 @@ TEST(Trend, NamesFirstRegressingRun)
     // regressing run.
     EXPECT_EQ(cycles->firstRegressRun, 2);
     EXPECT_EQ(cycles->firstVal, 200);
-    // Host-perf keys are tracked but never flagged as regressions.
+    // A host-time key gates like any other: +100% at run 2.
     ASSERT_NE(wall, nullptr);
-    EXPECT_TRUE(wall->reportOnly);
-    EXPECT_EQ(wall->firstRegressRun, -1);
+    EXPECT_EQ(wall->firstRegressRun, 1);
 
     std::string text = trendSummaryText(t, 20.0);
     EXPECT_NE(text.find("counters.a.cycles first regresses at run "
@@ -358,10 +417,10 @@ TEST(DiffJson, DocumentShape)
     opt.oldName = "a.json";
     opt.newName = "b.json";
     JsonValue oldDoc = parsed(
-        "{\"schema_version\": 2, \"host_threads\": 1, "
+        "{\"schema_version\": 2, "
         "\"counters\": {\"x.n\": 100, \"gone\": 1}}");
     JsonValue newDoc = parsed(
-        "{\"schema_version\": 2, \"host_threads\": 4, "
+        "{\"schema_version\": 2, "
         "\"counters\": {\"x.n\": 150, \"added\": 1}}");
     DiffReport rep = diffStats(oldDoc, newDoc, opt);
     JsonValue doc = parsed(renderDiffJson(rep, opt));
@@ -369,21 +428,15 @@ TEST(DiffJson, DocumentShape)
     EXPECT_EQ(resolvePath(doc, "schema_version")->number,
               diffJsonSchemaVersion);
     EXPECT_FALSE(resolvePath(doc, "refused")->boolean);
-    EXPECT_TRUE(resolvePath(doc, "host_threads_differ")->boolean);
     const JsonValue *rows = doc.find("rows");
     ASSERT_NE(rows, nullptr);
     ASSERT_TRUE(rows->isArray());
-    bool sawExceeded = false, sawReportOnly = false;
-    for (const JsonValue &r : rows->elements) {
-        ASSERT_NE(r.find("report_only"), nullptr);
-        if (r.find("key")->string == "counters.x.n")
-            sawExceeded = r.find("exceeded")->boolean;
-        // host_threads itself is a host-perf key: present, report-only.
-        if (r.find("key")->string == "host_threads")
-            sawReportOnly = r.find("report_only")->boolean;
-    }
-    EXPECT_TRUE(sawExceeded);
-    EXPECT_TRUE(sawReportOnly);
+    ASSERT_EQ(rows->elements.size(), 1u);
+    const JsonValue &row = rows->elements[0];
+    EXPECT_EQ(row.find("key")->string, "counters.x.n");
+    EXPECT_TRUE(row.find("exceeded")->boolean);
+    EXPECT_EQ(row.find("report_only"), nullptr);
+    EXPECT_EQ(doc.find("host_threads_differ"), nullptr);
     EXPECT_EQ(doc.find("only_old")->elements.size(), 1u);
     EXPECT_EQ(doc.find("only_new")->elements.size(), 1u);
 
