@@ -8,13 +8,8 @@
 namespace tlr
 {
 
-EventQueue::EventQueue() : wheel_(wheelSlots)
+EventQueue::EventQueue() : wheel_(wheelSlots, Bucket{})
 {
-    for (Bucket &b : wheel_) {
-        std::fill(std::begin(b.head), std::end(b.head), nullptr);
-        std::fill(std::begin(b.tail), std::end(b.tail), nullptr);
-        b.occ = 0;
-    }
     farHeap_.reserve(64);
 }
 
@@ -23,73 +18,22 @@ EventQueue::~EventQueue()
     reset(); // destroys any pending captures
 }
 
-EventQueue::EventNode *
-EventQueue::makeNode(Tick when, EventPrio prio)
+void
+EventQueue::pastTick(Tick when) const
 {
-    if (when < _now)
-        panic("scheduling event in the past: when=%llu now=%llu",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(_now));
-    if (!freeList_) {
-        chunks_.push_back(std::make_unique<EventNode[]>(chunkNodes));
-        ++kstats_.poolChunks;
-        EventNode *chunk = chunks_.back().get();
-        for (std::size_t i = 0; i < chunkNodes; ++i) {
-            chunk[i].next = freeList_;
-            freeList_ = &chunk[i];
-        }
-    }
-    EventNode *n = freeList_;
-    freeList_ = n->next;
-    n->next = nullptr;
-    n->when = when;
-    n->seq = seq_++;
-    n->prio = static_cast<std::uint8_t>(prio);
-    return n;
+    panic("scheduling event in the past: when=%llu now=%llu",
+          static_cast<unsigned long long>(when),
+          static_cast<unsigned long long>(_now));
 }
 
 void
-EventQueue::recycle(EventNode *n)
+EventQueue::growPool()
 {
-    n->invoke = nullptr;
-    n->destroy = nullptr;
-    n->next = freeList_;
-    freeList_ = n;
-}
-
-void
-EventQueue::insert(EventNode *n)
-{
-    // The wheel window never starts after the earliest pending event;
-    // scheduling below the base (possible only after run(maxTick)
-    // returned early and left the window parked at a future tick)
-    // slides the window back first.
-    if (n->when < windowBase_)
-        rebase(n->when);
-    if (n->when - windowBase_ < wheelSlots)
-        pushWheel(n);
-    else
-        pushFar(n);
-    ++size_;
-}
-
-void
-EventQueue::pushWheel(EventNode *n)
-{
-    const std::size_t slot = static_cast<std::size_t>(n->when) &
-                             (wheelSlots - 1);
-    Bucket &b = wheel_[slot];
-    const int p = n->prio;
-    n->next = nullptr;
-    if (b.tail[p])
-        b.tail[p]->next = n;
-    else
-        b.head[p] = n;
-    b.tail[p] = n;
-    b.occ |= 1u << p;
-    slotOcc_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    ++wheelCount_;
-    ++kstats_.wheelEvents;
+    chunks_.push_back(std::make_unique<EventNode[]>(chunkNodes));
+    ++kstats_.poolChunks;
+    EventNode *chunk = chunks_.back().get();
+    for (std::size_t i = 0; i < chunkNodes; ++i)
+        recycle(&chunk[i]);
 }
 
 void
@@ -115,6 +59,25 @@ EventQueue::migrateFar()
     }
 }
 
+/** Empty bucket @p b, passing each event to @p fn in (prio, seq)
+ *  order; @p fn may reuse the node's link. */
+template <typename Fn>
+void
+EventQueue::drainBucket(Bucket &b, Fn &&fn)
+{
+    for (unsigned occ = b.occ; occ; occ &= occ - 1) {
+        EventNode *const tail = b.tail[std::countr_zero(occ)];
+        for (EventNode *n = tail->next;;) {
+            EventNode *const next = n->next;
+            fn(n);
+            if (n == tail)
+                break;
+            n = next;
+        }
+    }
+    b.occ = 0;
+}
+
 /** Re-anchor the wheel window at @p newBase, redistributing every
  *  queued event. Only taken on the rare schedule-below-base path. */
 void
@@ -122,19 +85,8 @@ EventQueue::rebase(Tick newBase)
 {
     std::vector<EventNode *> pending;
     pending.reserve(wheelCount_);
-    for (std::size_t slot = 0; slot < wheelSlots; ++slot) {
-        Bucket &b = wheel_[slot];
-        for (int p = 0; p < numPrios; ++p) {
-            for (EventNode *n = b.head[p]; n;) {
-                EventNode *next = n->next;
-                n->next = nullptr;
-                pending.push_back(n);
-                n = next;
-            }
-            b.head[p] = b.tail[p] = nullptr;
-        }
-        b.occ = 0;
-    }
+    for (Bucket &b : wheel_)
+        drainBucket(b, [&](EventNode *n) { pending.push_back(n); });
     std::fill(std::begin(slotOcc_), std::end(slotOcc_), 0);
     wheelCount_ = 0;
     windowBase_ = newBase;
@@ -152,82 +104,74 @@ EventQueue::rebase(Tick newBase)
 }
 
 /**
- * Locate (but do not unlink) the earliest pending event in
- * (when, prio, seq) order; advances the wheel window as a side
- * effect. Returns nullptr when the queue is empty.
+ * Move the window to the earliest pending event when the base slot is
+ * empty, and return that event's slot. Requires size_ > 0.
  */
-EventQueue::EventNode *
-EventQueue::findEarliest()
+std::size_t
+EventQueue::advance()
 {
-    if (size_ == 0)
-        return nullptr;
-    for (;;) {
+    constexpr std::size_t mask = wheelSlots - 1;
+    if (wheelCount_ == 0) {
+        // Everything pending is beyond the window: jump to it.
+        windowBase_ = farHeap_.front()->when;
         migrateFar();
-        if (wheelCount_ == 0) {
-            // Everything pending is beyond the window: jump to it.
-            windowBase_ = farHeap_.front()->when;
-            continue;
-        }
-        // Scan the occupancy bitmap from the window base forward; the
-        // first set slot is the earliest tick, because all wheel
-        // events lie within one window span.
-        const std::size_t start = static_cast<std::size_t>(windowBase_) &
-                                  (wheelSlots - 1);
-        std::size_t slot = wheelSlots; // sentinel
-        for (std::size_t scanned = 0; scanned < wheelSlots;) {
-            const std::size_t pos = (start + scanned) & (wheelSlots - 1);
-            std::uint64_t word = slotOcc_[pos / 64] >> (pos % 64);
-            const std::size_t wordRemain = 64 - pos % 64;
-            if (word) {
-                const std::size_t off =
-                    static_cast<std::size_t>(std::countr_zero(word));
-                if (off < wordRemain &&
-                    scanned + off < wheelSlots) {
-                    slot = (pos + off) & (wheelSlots - 1);
-                    break;
-                }
-            }
-            scanned += wordRemain;
-        }
-        if (slot == wheelSlots)
+        return static_cast<std::size_t>(windowBase_) & mask;
+    }
+    // Scan the occupancy bitmap forward from the base slot, wrapping
+    // once; the first set slot is the earliest tick, because every
+    // wheel event lies within one window span.
+    constexpr std::size_t words = wheelSlots / 64;
+    const std::size_t start = static_cast<std::size_t>(windowBase_) & mask;
+    std::size_t w = start / 64;
+    std::uint64_t word = slotOcc_[w] & (~std::uint64_t{0} << (start % 64));
+    for (std::size_t scanned = 0; !word; ++scanned) {
+        if (scanned == words)
             panic("event wheel count=%zu but occupancy bitmap empty",
                   wheelCount_);
-        // Advance the window to the found tick (keeps future scans
-        // short; every pending event is at or after it).
-        const std::size_t delta =
-            (slot + wheelSlots -
-             (static_cast<std::size_t>(windowBase_) & (wheelSlots - 1))) &
-            (wheelSlots - 1);
-        windowBase_ += delta;
-        Bucket &b = wheel_[slot];
-        const int p = std::countr_zero(b.occ);
-        foundSlot_ = slot;
-        foundPrio_ = p;
-        return b.head[p];
+        w = (w + 1) % words;
+        word = slotOcc_[w];
     }
+    const std::size_t slot =
+        w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+    windowBase_ += (slot - start) & mask;
+    if (!farHeap_.empty() &&
+        farHeap_.front()->when - windowBase_ < wheelSlots)
+        migrateFar();
+    return slot;
 }
 
-/** Unlink the node findEarliest() just returned. */
-void
-EventQueue::popFound()
+/** Slot of the earliest pending event; the window is then based at
+ *  its tick. Requires size_ > 0. */
+inline std::size_t
+EventQueue::earliestSlot()
 {
-    Bucket &b = wheel_[foundSlot_];
-    const int p = foundPrio_;
-    EventNode *n = b.head[p];
-    b.head[p] = n->next;
-    if (!b.head[p]) {
-        b.tail[p] = nullptr;
+    const std::size_t slot = static_cast<std::size_t>(windowBase_) &
+                             (wheelSlots - 1);
+    return wheel_[slot].occ ? slot : advance();
+}
+
+/** Unlink and return the first event of @p slot's lowest non-empty
+ *  priority list. */
+inline EventQueue::EventNode *
+EventQueue::unlinkHead(std::size_t slot)
+{
+    Bucket &b = wheel_[slot];
+    const int p = std::countr_zero(b.occ);
+    EventNode *const tail = b.tail[p];
+    EventNode *const n = tail->next;
+    if (n != tail) {
+        tail->next = n->next;
+    } else {
         b.occ &= ~(1u << p);
         if (!b.occ)
-            slotOcc_[foundSlot_ / 64] &=
-                ~(std::uint64_t{1} << (foundSlot_ % 64));
+            slotOcc_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     }
-    n->next = nullptr;
     --wheelCount_;
     --size_;
+    return n;
 }
 
-void
+inline void
 EventQueue::fire(EventNode *n)
 {
     _now = n->when;
@@ -251,11 +195,9 @@ EventQueue::fire(EventNode *n)
 bool
 EventQueue::step()
 {
-    EventNode *n = findEarliest();
-    if (!n)
+    if (size_ == 0)
         return false;
-    popFound();
-    fire(n);
+    fire(unlinkHead(earliestSlot()));
     return true;
 }
 
@@ -263,42 +205,30 @@ bool
 EventQueue::run(Tick maxTick)
 {
     stopRequested_ = false;
-    for (;;) {
-        EventNode *n = findEarliest();
-        if (!n)
-            return true;
-        if (n->when > maxTick)
+    while (size_ != 0) {
+        const std::size_t slot = earliestSlot();
+        if (windowBase_ > maxTick)
             return false;
-        popFound();
-        fire(n);
+        fire(unlinkHead(slot));
         if (stopRequested_)
             return true;
     }
+    return true;
 }
 
 void
 EventQueue::reset()
 {
-    for (std::size_t slot = 0; slot < wheelSlots; ++slot) {
-        Bucket &b = wheel_[slot];
-        for (int p = 0; p < numPrios; ++p) {
-            for (EventNode *n = b.head[p]; n;) {
-                EventNode *next = n->next;
-                if (n->destroy)
-                    n->destroy(*n);
-                recycle(n);
-                n = next;
-            }
-            b.head[p] = b.tail[p] = nullptr;
-        }
-        b.occ = 0;
-    }
-    std::fill(std::begin(slotOcc_), std::end(slotOcc_), 0);
-    for (EventNode *n : farHeap_) {
+    auto drop = [this](EventNode *n) {
         if (n->destroy)
             n->destroy(*n);
         recycle(n);
-    }
+    };
+    for (Bucket &b : wheel_)
+        drainBucket(b, drop);
+    std::fill(std::begin(slotOcc_), std::end(slotOcc_), 0);
+    for (EventNode *n : farHeap_)
+        drop(n);
     farHeap_.clear();
     wheelCount_ = 0;
     size_ = 0;
