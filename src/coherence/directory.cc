@@ -95,21 +95,21 @@ DirectoryInterconnect::process(const BusRequest &req)
             return;
         }
         // Invalidate every other copy, including an Owned supplier.
-        for (CpuId c : e.sharers) {
+        e.sharers.forEach([&](CpuId c) {
             if (c != req.requester) {
                 ++invalidations_;
                 traceFwd(req, c, true);
                 snooper(c)->snoop(req);
             }
-        }
+        });
         if (e.owner != invalidCpu && e.owner != req.requester &&
-            !e.sharers.count(e.owner)) {
+            !e.sharers.contains(e.owner)) {
             ++invalidations_;
             traceFwd(req, e.owner, true);
             snooper(e.owner)->snoop(req);
         }
         e.owner = req.requester;
-        e.sharers = {req.requester};
+        e.sharers.assign(req.requester);
         snooper(req.requester)->ownRequestOrdered(req, false, false);
         return;
       }
@@ -126,10 +126,9 @@ DirectoryInterconnect::process(const BusRequest &req)
             if (!anyOwner)
                 e.owner = invalidCpu; // silently evicted / written back
         }
-        bool anySharer = anyOwner;
-        for (CpuId c : e.sharers)
-            if (c != req.requester)
-                anySharer = true;
+        const bool anySharer =
+            anyOwner ||
+            e.sharers.size() > (e.sharers.contains(req.requester) ? 1 : 0);
         e.sharers.insert(req.requester);
         snooper(req.requester)->ownRequestOrdered(req, anyOwner,
                                                   anySharer);
@@ -157,17 +156,17 @@ DirectoryInterconnect::process(const BusRequest &req)
             SnoopReply r = snooper(oldOwner)->snoop(req);
             anyOwner = r.owner;
         }
-        for (CpuId c : e.sharers) {
+        e.sharers.forEach([&](CpuId c) {
             if (c != req.requester && c != oldOwner) {
                 ++invalidations_;
                 traceFwd(req, c, true);
                 snooper(c)->snoop(req);
             }
-        }
+        });
         // The requester is the protocol owner from this point on,
         // even though the data may flow through a deferral chain.
         e.owner = req.requester;
-        e.sharers = {req.requester};
+        e.sharers.assign(req.requester);
         snooper(req.requester)->ownRequestOrdered(req, anyOwner, false);
         if (!anyOwner) {
             mem_->supply(req, false);
@@ -180,15 +179,15 @@ DirectoryInterconnect::process(const BusRequest &req)
 CpuId
 DirectoryInterconnect::dirOwner(Addr line) const
 {
-    auto it = entries_.find(lineAlign(line));
-    return it == entries_.end() ? invalidCpu : it->second.owner;
+    const Entry *e = entries_.find(lineAlign(line));
+    return e ? e->owner : invalidCpu;
 }
 
 size_t
 DirectoryInterconnect::dirSharers(Addr line) const
 {
-    auto it = entries_.find(lineAlign(line));
-    return it == entries_.end() ? 0 : it->second.sharers.size();
+    const Entry *e = entries_.find(lineAlign(line));
+    return e ? e->sharers.size() : 0;
 }
 
 } // namespace tlr

@@ -21,10 +21,9 @@
 #define TLR_COHERENCE_DIRECTORY_HH
 
 #include <deque>
-#include <set>
-#include <unordered_map>
 
 #include "coherence/interconnect.hh"
+#include "sim/flat_containers.hh"
 
 namespace tlr
 {
@@ -45,7 +44,7 @@ class DirectoryInterconnect : public Interconnect
     struct Entry
     {
         CpuId owner = invalidCpu;   ///< L1 owner; invalid => memory
-        std::set<CpuId> sharers;    ///< may be stale (silent evictions)
+        CpuSet sharers;             ///< may be stale (silent evictions)
     };
 
     void pump();
@@ -54,7 +53,7 @@ class DirectoryInterconnect : public Interconnect
      *  (metrics: per-link accounting of directory fan-out traffic). */
     void traceFwd(const BusRequest &req, CpuId dest, bool inval);
 
-    std::unordered_map<Addr, Entry> entries_;
+    AddrMap<Entry> entries_; ///< by line; process() inserts no other line
     std::deque<BusRequest> queue_;
     bool pumpScheduled_ = false;
 

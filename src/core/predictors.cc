@@ -1,6 +1,7 @@
 #include "core/predictors.hh"
 
 #include <algorithm>
+#include <cassert>
 
 namespace tlr
 {
@@ -52,29 +53,34 @@ SilentPairPredictor::penalize(int pc)
 void
 RmwPredictor::observeLoad(int pc, Addr addr)
 {
-    recent_.push_front({pc, addr});
-    if (recent_.size() > window_)
-        recent_.pop_back();
+    assert(pc >= 0);
+    if (recent_.empty())
+        return; // window 0: nothing is remembered, nothing trains
+    newest_ = newest_ + 1 == recent_.size() ? 0 : newest_ + 1;
+    recent_[newest_] = {pc, addr};
+    held_ = std::min(held_ + 1, recent_.size());
 }
 
 void
 RmwPredictor::observeStore(Addr addr)
 {
-    for (const auto &rl : recent_) {
+    // Newest first: the newest matching load is the one that trains.
+    for (size_t k = 0, i = newest_; k < held_; ++k) {
+        const RecentLoad &rl = recent_[i];
         if (rl.addr == addr) {
-            if (table_.size() >= capacity_ && !table_.count(rl.pc))
+            const auto pc = static_cast<size_t>(rl.pc);
+            if (pc < exclusive_.size() && exclusive_[pc])
+                return; // already learned
+            if (learned_ >= capacity_)
                 return; // table full; do not learn new PCs
-            table_[rl.pc] = true;
+            if (pc >= exclusive_.size())
+                exclusive_.resize(pc + 1);
+            exclusive_[pc] = 1;
+            ++learned_;
             return;
         }
+        i = i == 0 ? recent_.size() - 1 : i - 1;
     }
-}
-
-bool
-RmwPredictor::predictExclusive(int pc) const
-{
-    auto it = table_.find(pc);
-    return it != table_.end() && it->second;
 }
 
 } // namespace tlr

@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -62,24 +61,33 @@ class SilentPairPredictor
     std::unordered_map<int, Entry> table_;
 };
 
+/** The window of recent loads is a fixed ring and the table a
+ *  pc-indexed flag array (pcs are instruction indices, >= 0), so
+ *  observing and predicting allocate nothing once the table has grown
+ *  to the program's highest trained pc. */
 class RmwPredictor
 {
   public:
     RmwPredictor(unsigned entries, unsigned window)
-        : capacity_(entries), window_(window)
+        : capacity_(entries), recent_(window)
     {}
 
     /** Record a retiring load for later store matching. */
     void observeLoad(int pc, Addr addr);
 
-    /** A store retired: train the predictor for any recent load to
-     *  the same word address. */
+    /** A store retired: train the predictor for the newest recent load
+     *  to the same word address. A full table learns no new pc. */
     void observeStore(Addr addr);
 
     /** Should the load at @p pc request exclusive ownership? */
-    bool predictExclusive(int pc) const;
+    bool
+    predictExclusive(int pc) const
+    {
+        const auto i = static_cast<size_t>(pc);
+        return i < exclusive_.size() && exclusive_[i];
+    }
 
-    size_t tableSize() const { return table_.size(); }
+    size_t tableSize() const { return learned_; }
 
   private:
     struct RecentLoad
@@ -89,9 +97,11 @@ class RmwPredictor
     };
 
     unsigned capacity_;
-    unsigned window_;
-    std::list<RecentLoad> recent_;
-    std::unordered_map<int, bool> table_; ///< pc -> predict exclusive
+    std::vector<RecentLoad> recent_; ///< ring of the last window loads
+    size_t newest_ = 0;              ///< ring index of the newest load
+    size_t held_ = 0;                ///< loads in the ring (<= window)
+    std::vector<std::uint8_t> exclusive_; ///< pc -> predict exclusive
+    size_t learned_ = 0;                  ///< pcs set in exclusive_
 };
 
 } // namespace tlr

@@ -65,7 +65,7 @@ SpecEngine::request(const CoreMemOp &op)
       case CoreMemOp::Type::LoadLinked: {
         if (op.type == CoreMemOp::Type::LoadLinked)
             syncLines_.insert(lineAlign(op.addr));
-        bool syncLine = syncLines_.count(lineAlign(op.addr)) != 0;
+        const bool syncLine = syncLines_.contains(lineAlign(op.addr));
         if (cfg_.enableRmwPredictor &&
             op.type == CoreMemOp::Type::Load && !syncLine)
             rmwPred_.observeLoad(op.pc, op.addr);
@@ -85,7 +85,7 @@ SpecEngine::request(const CoreMemOp &op)
         }
         bool excl = cfg_.enableRmwPredictor && !syncLine &&
                     rmwPred_.predictExclusive(op.pc);
-        if (mode_ == Mode::Spec && escalation_.count(lineAlign(op.addr))) {
+        if (mode_ == Mode::Spec && escalation_.contains(lineAlign(op.addr))) {
             // Repeated upgrade-induced violations: fetch exclusive up
             // front so the block can be retained (paper Section 3.1.2).
             excl = true;
@@ -100,7 +100,7 @@ SpecEngine::request(const CoreMemOp &op)
 
       case CoreMemOp::Type::Store:
         if (cfg_.enableRmwPredictor &&
-            !syncLines_.count(lineAlign(op.addr)))
+            !syncLines_.contains(lineAlign(op.addr)))
             rmwPred_.observeStore(op.addr);
         if (mode_ == Mode::Spec) {
             handleSpecStore(op);

@@ -28,7 +28,6 @@
 
 #include <array>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "cpu/mem_port.hh"
 #include "mem/write_buffer.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_containers.hh"
 #include "sim/stats.hh"
 #include "trace/sink.hh"
 
@@ -181,7 +181,7 @@ class SpecEngine : public MemPort, public SpecHooks
     bool instanceActive_ = false;
     int noElideOncePc_ = -1;
     int regionPc_ = -1; ///< outermost elided acquire (predictor index)
-    std::set<Addr> escalation_; ///< lines to read-for-ownership
+    FlatSet<Addr> escalation_; ///< lines to read-for-ownership
 
     SilentPairPredictor pairPred_;
     RmwPredictor rmwPred_;
@@ -192,7 +192,7 @@ class SpecEngine : public MemPort, public SpecHooks
      *  requests and livelock every LL/SC sequence. The paper's
      *  predictor explicitly targets read-modify-write *data* within
      *  critical sections (Section 3.1.2). */
-    std::set<Addr> syncLines_;
+    FlatSet<Addr> syncLines_;
 
     std::optional<CoreMemOp> pendingCore_;
     std::uint64_t token_ = 0;

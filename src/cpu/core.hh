@@ -116,7 +116,6 @@ class Core
      *  non-replayable memory operation is in flight takes effect at
      *  its completion (instruction boundary). */
     Tick pendingSuspend_ = 0;
-    bool tickScheduled_ = false;
     Tick waitStart_ = 0;
     Addr waitAddr_ = 0;
     int pendingRd_ = 0;

@@ -21,7 +21,7 @@
 #include <map>
 #include <vector>
 
-#include "trace/listener_state.hh"
+#include "sim/flat_containers.hh"
 #include "trace/txn_state.hh"
 
 namespace tlr

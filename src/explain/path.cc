@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "trace/listener_state.hh"
+#include "sim/flat_containers.hh"
 
 namespace tlr
 {

@@ -45,8 +45,10 @@ Layout::registerSyncAddr(Addr addr)
 std::function<bool(Addr)>
 Layout::classifier() const
 {
-    auto lines = lockLines_; // copy: layout may outlive or not
-    return [lines](Addr a) { return lines.count(lineAlign(a)) != 0; };
+    // Copy: the classifier may outlive the layout.
+    return [lines = lockLines_](Addr a) {
+        return lines.contains(lineAlign(a));
+    };
 }
 
 } // namespace tlr

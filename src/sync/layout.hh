@@ -12,8 +12,8 @@
 #define TLR_SYNC_LAYOUT_HH
 
 #include <functional>
-#include <unordered_set>
 
+#include "sim/flat_containers.hh"
 #include "sim/types.hh"
 
 namespace tlr
@@ -42,7 +42,7 @@ class Layout
 
     bool isLockAddr(Addr addr) const
     {
-        return lockLines_.count(lineAlign(addr)) != 0;
+        return lockLines_.contains(lineAlign(addr));
     }
 
     /** Classifier suitable for Core::setLockClassifier. */
@@ -50,7 +50,7 @@ class Layout
 
   private:
     Addr next_;
-    std::unordered_set<Addr> lockLines_;
+    FlatSet<Addr> lockLines_;
 };
 
 } // namespace tlr

@@ -48,8 +48,8 @@
 #include <vector>
 
 #include "metrics/histogram.hh"
+#include "sim/flat_containers.hh"
 #include "trace/lifecycle.hh"
-#include "trace/listener_state.hh"
 #include "trace/txn_state.hh"
 
 namespace tlr

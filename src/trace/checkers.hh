@@ -33,8 +33,8 @@
 #include <vector>
 
 #include "mem/line.hh"
+#include "sim/flat_containers.hh"
 #include "sim/stats.hh"
-#include "trace/listener_state.hh"
 #include "trace/sink.hh"
 
 namespace tlr

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "coherence/spec_hooks.hh"
-#include "trace/listener_state.hh"
+#include "sim/flat_containers.hh"
 #include "trace/sink.hh"
 
 namespace tlr

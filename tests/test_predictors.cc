@@ -7,13 +7,37 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <list>
+#include <new>
+#include <unordered_map>
+
 #include "core/predictors.hh"
 #include "core/timestamp.hh"
 #include "cpu/program.hh"
+#include "sim/rng.hh"
 #include "sync/layout.hh"
 #include "sync/lock_progs.hh"
 
 using namespace tlr;
+
+namespace
+{
+/** Global operator new calls in this binary, for the allocation test. */
+std::size_t newCalls = 0;
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    ++newCalls;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 
 TEST(Timestamp, EarlierClockWins)
 {
@@ -128,6 +152,130 @@ TEST(RmwPredictor, CapacityBoundsTable)
         p.observeStore(0x1000u + 64u * static_cast<unsigned>(i));
     }
     EXPECT_LE(p.tableSize(), 2u);
+}
+
+namespace
+{
+
+/** The list-and-hash-map predictor the ring version replaced, kept as
+ *  the reference for the differential test. */
+class ListRmwPredictor
+{
+  public:
+    ListRmwPredictor(unsigned entries, unsigned window)
+        : capacity_(entries), window_(window)
+    {}
+
+    void
+    observeLoad(int pc, Addr addr)
+    {
+        recent_.push_front({pc, addr});
+        if (recent_.size() > window_)
+            recent_.pop_back();
+    }
+
+    void
+    observeStore(Addr addr)
+    {
+        for (const auto &rl : recent_) {
+            if (rl.addr == addr) {
+                if (table_.size() >= capacity_ && !table_.count(rl.pc))
+                    return;
+                table_[rl.pc] = true;
+                return;
+            }
+        }
+    }
+
+    bool
+    predictExclusive(int pc) const
+    {
+        auto it = table_.find(pc);
+        return it != table_.end() && it->second;
+    }
+
+    size_t tableSize() const { return table_.size(); }
+
+  private:
+    struct RecentLoad
+    {
+        int pc;
+        Addr addr;
+    };
+
+    unsigned capacity_;
+    unsigned window_;
+    std::list<RecentLoad> recent_;
+    std::unordered_map<int, bool> table_;
+};
+
+/** Replay a seeded random load/store stream of @p ops operations over
+ *  @p pcs pcs and a few words on @p p. */
+template <typename P>
+void
+replay(P &p, std::uint64_t seed, int ops, int pcs)
+{
+    Rng r(seed);
+    for (int i = 0; i < ops; ++i) {
+        const Addr addr = 0x1000 + 8 * r.below(24);
+        if (r.below(3))
+            p.observeLoad(static_cast<int>(r.below(pcs)), addr);
+        else
+            p.observeStore(addr);
+    }
+}
+
+} // namespace
+
+TEST(RmwPredictor, MatchesListReference)
+{
+    constexpr int pcs = 48;
+    for (unsigned window : {0u, 1u, 8u}) {
+        for (unsigned entries : {4u, 128u}) { // 4: the table fills up
+            for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << "window " << window << " entries "
+                             << entries << " seed " << seed);
+                RmwPredictor ring(entries, window);
+                ListRmwPredictor list(entries, window);
+                Rng r(seed);
+                for (int i = 0; i < 400; ++i) {
+                    const Addr addr = 0x1000 + 8 * r.below(24);
+                    if (r.below(3)) {
+                        const int pc = static_cast<int>(r.below(pcs));
+                        ring.observeLoad(pc, addr);
+                        list.observeLoad(pc, addr);
+                    } else {
+                        ring.observeStore(addr);
+                        list.observeStore(addr);
+                    }
+                    ASSERT_EQ(ring.tableSize(), list.tableSize());
+                }
+                for (int pc = 0; pc < pcs + 8; ++pc)
+                    EXPECT_EQ(ring.predictExclusive(pc),
+                              list.predictExclusive(pc));
+                if (window == 0) {
+                    EXPECT_EQ(ring.tableSize(), 0u);
+                }
+                if (window == 8 && entries == 4) {
+                    EXPECT_EQ(ring.tableSize(), 4u);
+                }
+            }
+        }
+    }
+}
+
+TEST(RmwPredictor, NoHeapAllocationAfterWarmup)
+{
+    RmwPredictor p(128, 32);
+    replay(p, 7, 2000, 64); // grows the table to its highest pc
+    const std::size_t before = newCalls;
+    replay(p, 7, 2000, 64);
+    bool any = false;
+    for (int pc = 0; pc < 64; ++pc)
+        any |= p.predictExclusive(pc);
+    EXPECT_EQ(newCalls, before);
+    EXPECT_TRUE(any);
 }
 
 TEST(Layout, AlignmentAndPadding)
