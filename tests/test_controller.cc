@@ -17,7 +17,9 @@
 #include "coherence/memory_controller.hh"
 #include "mem/backing_store.hh"
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
+#include "trace/sink.hh"
 
 using namespace tlr;
 
@@ -485,4 +487,169 @@ TEST(Controller, FootprintListsEmptyAfterEveryBoundary)
         ASSERT_TRUE(boundaryClear(r.l1a, lineB)) << i;
     }
     EXPECT_EQ(r.hooks1.completions.size(), 1000u);
+}
+
+//
+// ---- one op, hit or fill -----------------------------------------------
+//
+
+namespace
+{
+
+/** The records an op itself emits at cpu 0 (its transactional read or
+ *  its committed write), without the tick: a hit and a fill of the
+ *  same op complete at different times but must say the same thing. */
+struct OpRecords : TraceListener
+{
+    std::string text;
+
+    void
+    onRecord(const TraceRecord &r) override
+    {
+        if (r.cpu != 0 ||
+            (r.kind != TraceEvent::TxnRead && r.kind != TraceEvent::MemWrite))
+            return;
+        text += strfmt("%s %#llx %llu; ", traceEventName(r.kind),
+                       static_cast<unsigned long long>(r.addr),
+                       static_cast<unsigned long long>(r.a0));
+    }
+};
+
+/** Everything an op leaves behind at cpu 0, rendered for comparison. */
+std::string
+outcome(Rig &r, const OpRecords &rec, Addr addr)
+{
+    if (r.hooks0.completions.size() != 1)
+        return strfmt("%zu completions", r.hooks0.completions.size());
+    const CacheLine *l = r.l1a.peekLine(addr);
+    return strfmt("value=%llu state=%s word=%llu link=%d r=%d w=%d | %s",
+                  static_cast<unsigned long long>(
+                      r.hooks0.completions[0].second),
+                  cohStateName(r.l1a.lineState(addr)),
+                  static_cast<unsigned long long>(r.l1a.peekWord(addr)),
+                  r.l1a.linkValid(addr) ? 1 : 0,
+                  l && l->accessRead ? 1 : 0, l && l->accessWrite ? 1 : 0,
+                  rec.text.c_str());
+}
+
+constexpr Addr opAddr = lineA + 8; // word 1 of the line
+constexpr std::uint64_t opOld = 7;
+
+/**
+ * Run @p op once at cpu 0 and describe what it did. As a hit, a
+ * non-speculative access first brings the line in with the request
+ * type the op would miss with, so both paths start from the same
+ * state and data. As a fill, the op itself misses.
+ *
+ * StoreCond needs a link: as a hit it is set by an LL (and, with
+ * @p lose_link, cleared again by a store to the line); as a fill the
+ * LL reads the line Shared next to cpu 1, so the SC misses with an
+ * upgrade, and with @p lose_link a store from cpu 1 is ordered first,
+ * which takes the line and the link before the fill.
+ */
+std::string
+runOp(CacheOp op, bool hit, bool lose_link = false)
+{
+    Rig r;
+    TraceSink sink;
+    OpRecords rec;
+    sink.addListener(&rec);
+    r.l1a.setTrace(&sink);
+    r.store.writeWord(opAddr, opOld);
+    r.hooks0.spec = op.spec;
+    const bool sc = op.kind == CacheOp::Kind::StoreCond;
+
+    CacheOp prime;
+    prime.addr = opAddr;
+    prime.kind = op.kind == CacheOp::Kind::LoadShared
+                     ? CacheOp::Kind::LoadShared
+                     : CacheOp::Kind::LoadExclusive;
+    prime.isLl = sc;
+    if (hit) {
+        r.l1a.access(prime);
+        r.run();
+        if (lose_link) {
+            r.access(r.l1a, CacheOp::Kind::Store, opAddr, 5);
+            r.run();
+        }
+    } else if (sc) {
+        r.access(r.l1b, CacheOp::Kind::LoadShared, opAddr);
+        r.run();
+        prime.kind = CacheOp::Kind::LoadShared;
+        r.l1a.access(prime);
+        r.run();
+        EXPECT_EQ(r.l1a.lineState(opAddr), CohState::Shared);
+        if (lose_link) {
+            r.access(r.l1b, CacheOp::Kind::Store, opAddr, 5);
+            r.eq.run(r.eq.now() + 5); // cpu 1's upgrade leaves the queue
+        }
+    }
+    r.hooks0.completions.clear();
+    rec.text.clear();
+    const std::uint64_t misses = r.stats.get("l1_0", "misses");
+    r.l1a.access(op);
+    r.run();
+    EXPECT_EQ(r.stats.get("l1_0", "misses"), misses + (hit ? 0 : 1));
+    return outcome(r, rec, opAddr);
+}
+
+CacheOp
+makeOp(CacheOp::Kind kind, std::uint64_t data = 0, bool spec = false)
+{
+    CacheOp op;
+    op.kind = kind;
+    op.addr = opAddr;
+    op.data = data;
+    op.spec = spec;
+    return op;
+}
+
+} // namespace
+
+TEST(Controller, EveryOpKindDoesTheSameOnAHitAndAFill)
+{
+    using K = CacheOp::Kind;
+    struct Case
+    {
+        const char *name;
+        CacheOp op;
+        bool loseLink;
+        const char *want;
+    };
+    CacheOp ll = makeOp(K::LoadExclusive);
+    ll.isLl = true;
+    CacheOp casMatch = makeOp(K::AtomicCas, 9);
+    casMatch.expected = opOld;
+    CacheOp casMiss = makeOp(K::AtomicCas, 9);
+    casMiss.expected = opOld + 1;
+    const Case cases[] = {
+        {"LoadShared (spec)", makeOp(K::LoadShared, 0, true), false,
+         "value=7 state=E word=7 link=0 r=1 w=0 | txn-read 0x4008 7; "},
+        {"LoadExclusive LL", ll, false,
+         "value=7 state=M word=7 link=1 r=0 w=0 | "},
+        {"Store", makeOp(K::Store, 9), false,
+         "value=0 state=M word=9 link=0 r=0 w=0 | mem-write 0x4008 9; "},
+        {"EnsureExclusive (spec)", makeOp(K::EnsureExclusive, 0, true),
+         false,
+         "value=7 state=M word=7 link=0 r=0 w=1 | txn-read 0x4008 7; "},
+        {"AtomicSwap", makeOp(K::AtomicSwap, 9), false,
+         "value=7 state=M word=9 link=0 r=0 w=0 | mem-write 0x4008 9; "},
+        {"AtomicCas match", casMatch, false,
+         "value=7 state=M word=9 link=0 r=0 w=0 | mem-write 0x4008 9; "},
+        {"AtomicCas mismatch", casMiss, false,
+         "value=7 state=M word=7 link=0 r=0 w=0 | "},
+        {"AtomicAdd", makeOp(K::AtomicAdd, 2), false,
+         "value=7 state=M word=9 link=0 r=0 w=0 | mem-write 0x4008 9; "},
+        {"StoreCond, link held", makeOp(K::StoreCond, 9), false,
+         "value=1 state=M word=9 link=0 r=0 w=0 | mem-write 0x4008 9; "},
+        {"StoreCond, link lost", makeOp(K::StoreCond, 9), true,
+         "value=0 state=M word=5 link=0 r=0 w=0 | "},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string hit = runOp(c.op, /*hit=*/true, c.loseLink);
+        const std::string fill = runOp(c.op, /*hit=*/false, c.loseLink);
+        EXPECT_EQ(hit, fill);
+        EXPECT_EQ(hit, c.want);
+    }
 }
