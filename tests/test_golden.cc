@@ -3,7 +3,9 @@
  * Classic-kernel golden: pinned simulated results for every scheme x
  * protocol x micro-workload at 4 CPUs / 128 ops, plus TLR hash-kv on
  * a shrunken L1 whose transactions spill into the victim cache and
- * overflow it (the victim-insert and victim-full fallback paths).
+ * overflow it (the victim-insert and victim-full fallback paths), plus
+ * four 8-CPU rows that reach L1 controller paths the others miss (see
+ * kGolden).
  *
  * Telemetry golden: FNV-1a digests of every output the five trace
  * listeners render (explain text in all three modes, explain JSON and
@@ -99,7 +101,16 @@ struct GoldenRow
     unsigned victimEntries = L1Params{}.victimEntries;
     std::uint64_t victimInserts = 0;
     std::uint64_t victimFullAborts = 0;
+    /** Machine size and seed; the defaults are the first rows'. */
+    int cpus = 4;
+    std::uint64_t seed = MachineParams{}.seed;
+    /** Preempt core k % cpus at tick k * preemptEvery, for
+     *  preemptQuantum cycles, up to tick preemptHorizon (0 = never). */
+    Tick preemptEvery = 0;
 };
+
+constexpr Tick preemptQuantum = 500;
+constexpr Tick preemptHorizon = 100'000;
 
 const char *
 schemeId(Scheme s)
@@ -141,12 +152,25 @@ const GoldenRow kGolden[] = {
     {Scheme::Mcs, D, "dlist", 47048, 108395, 0, 0, 2001, 16438, 0xeddc5d853815c0d9ull},
     {Scheme::BaseSleTlr, B, "hash-kv", 45100, 34055, 139, 47, 2733, 17375, 0xa1e6f2f012c01eabull, 4096, 2, 32, 45},
     {Scheme::BaseSleTlr, D, "hash-kv", 45335, 37166, 135, 48, 2839, 18888, 0xf40d1f1183ed82d5ull, 4096, 2, 29, 46},
+    // L1 controller paths no row above reaches. MCS on nested account
+    // locks: compare-and-swap fills, failing ones included, and a CAS
+    // miss recorded in an ownership chain.
+    {Scheme::Mcs, D, "bank", 72920, 271857, 0, 0, 7126, 60194, 0xb8b6a74d289956c3ull, 131072, 16, 0, 0, 8},
+    // SLE on the same locks: a writer invalidates a Shared copy still
+    // marked by a transaction that has already left speculation.
+    {Scheme::BaseSle, D, "bank", 59206, 210849, 698, 368, 7118, 62331, 0x69b17ed1979027efull, 131072, 16, 0, 0, 8},
+    // Strict timestamps on the Figure 6 chain: a restarted access that
+    // queues behind its squashed miss yields at once.
+    {Scheme::TlrStrictTs, D, "rotated-blocks", 268518, 176370, 1024, 8551, 12973, 207244, 0xf93255edcdd9e071ull, 131072, 16, 0, 0, 8},
+    // Strict timestamps under preemption: a probe reaches a pending
+    // owner whose transaction was preempted.
+    {Scheme::TlrStrictTs, D, "reverse-writers", 215394, 141069, 1024, 7584, 10283, 171011, 0x8310ac282a8ddd24ull, 131072, 16, 0, 0, 8, 12345, 2000},
 };
 // clang-format on
 
-// Five schemes x two protocols x two workloads, plus the two
-// victim-cache rows.
-static_assert(std::size(kGolden) == 22, "golden covers every config");
+// Five schemes x two protocols x two workloads, the two victim-cache
+// rows and the four 8-CPU rows.
+static_assert(std::size(kGolden) == 26, "golden covers every config");
 
 GoldenRow
 runRow(const GoldenRow &want)
@@ -155,14 +179,16 @@ runRow(const GoldenRow &want)
     const Protocol p = want.protocol;
     const char *workload = want.workload;
     MachineParams mp;
-    mp.numCpus = 4;
+    mp.numCpus = want.cpus;
     mp.protocol = p;
     mp.spec = schemeSpecConfig(s);
     mp.l1.sizeBytes = want.l1Bytes;
     mp.l1.victimEntries = want.victimEntries;
+    mp.seed = want.seed;
     WorkloadParams wp;
-    wp.numCpus = 4;
+    wp.numCpus = want.cpus;
     wp.ops = 128;
+    wp.seed = want.seed;
     wp.lockKind = schemeLockKind(s);
     Workload wl = makeRegisteredWorkload(workload, wp);
 
@@ -170,6 +196,11 @@ runRow(const GoldenRow &want)
     DigestListener dig;
     sys.addTraceListener(&dig);
     installWorkload(sys, wl);
+    for (Tick k = 1; want.preemptEvery && k * want.preemptEvery <=
+                                              preemptHorizon;
+         ++k)
+        sys.preemptCore(static_cast<int>(k % want.cpus),
+                        k * want.preemptEvery, preemptQuantum);
     EXPECT_TRUE(sys.run());
     EXPECT_TRUE(wl.validate(sys));
 
@@ -185,6 +216,9 @@ runRow(const GoldenRow &want)
     out.victimEntries = want.victimEntries;
     out.victimInserts = sys.stats().sum("l1_", "victimInserts");
     out.victimFullAborts = sys.stats().sum("spec", "abort.victim-full");
+    out.cpus = want.cpus;
+    out.seed = want.seed;
+    out.preemptEvery = want.preemptEvery;
     return out;
 }
 
@@ -205,19 +239,37 @@ rowText(const GoldenRow &r)
                   static_cast<unsigned long long>(r.records),
                   static_cast<unsigned long long>(r.digest));
     std::string text = buf;
-    // Rows on the default geometry that never touch the victim cache
-    // omit the trailing fields.
+    // Rows on the default geometry and machine that never touch the
+    // victim cache omit the trailing fields.
     const GoldenRow dflt{};
-    if (r.l1Bytes != dflt.l1Bytes || r.victimEntries != dflt.victimEntries ||
-        r.victimInserts || r.victimFullAborts) {
-        text.pop_back(); // the closing "},"
-        text.pop_back();
+    const bool machine = r.cpus != dflt.cpus || r.seed != dflt.seed ||
+                         r.preemptEvery != dflt.preemptEvery;
+    if (machine || r.l1Bytes != dflt.l1Bytes ||
+        r.victimEntries != dflt.victimEntries || r.victimInserts ||
+        r.victimFullAborts) {
+        text.resize(text.size() - 2); // the closing "},"
         std::snprintf(buf, sizeof buf, ", %llu, %u, %llu, %llu},",
                       static_cast<unsigned long long>(r.l1Bytes),
                       r.victimEntries,
                       static_cast<unsigned long long>(r.victimInserts),
                       static_cast<unsigned long long>(r.victimFullAborts));
         text += buf;
+    }
+    if (machine) {
+        text.resize(text.size() - 2);
+        std::snprintf(buf, sizeof buf, ", %d", r.cpus);
+        text += buf;
+        if (r.seed != dflt.seed || r.preemptEvery != dflt.preemptEvery) {
+            std::snprintf(buf, sizeof buf, ", %llu",
+                          static_cast<unsigned long long>(r.seed));
+            text += buf;
+        }
+        if (r.preemptEvery != dflt.preemptEvery) {
+            std::snprintf(buf, sizeof buf, ", %llu",
+                          static_cast<unsigned long long>(r.preemptEvery));
+            text += buf;
+        }
+        text += "},";
     }
     return text;
 }
