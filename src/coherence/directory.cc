@@ -91,7 +91,7 @@ DirectoryInterconnect::process(const BusRequest &req)
       case ReqType::Upgrade: {
         if (!snooper(req.requester)->upgradeValid(req.line)) {
             // Stale: the requester reissues as GetX (no side effects).
-            snooper(req.requester)->ownRequestOrdered(req, false, false);
+            snooper(req.requester)->ownRequestOrdered(req);
             return;
         }
         // Invalidate every other copy, including an Owned supplier.
@@ -110,7 +110,7 @@ DirectoryInterconnect::process(const BusRequest &req)
         }
         e.owner = req.requester;
         e.sharers.assign(req.requester);
-        snooper(req.requester)->ownRequestOrdered(req, false, false);
+        snooper(req.requester)->ownRequestOrdered(req);
         return;
       }
 
@@ -130,8 +130,7 @@ DirectoryInterconnect::process(const BusRequest &req)
             anyOwner ||
             e.sharers.size() > (e.sharers.contains(req.requester) ? 1 : 0);
         e.sharers.insert(req.requester);
-        snooper(req.requester)->ownRequestOrdered(req, anyOwner,
-                                                  anySharer);
+        snooper(req.requester)->ownRequestOrdered(req);
         if (!anyOwner) {
             if (!anySharer) {
                 // The grant will be Exclusive: E is an owner state, so
@@ -167,7 +166,7 @@ DirectoryInterconnect::process(const BusRequest &req)
         // even though the data may flow through a deferral chain.
         e.owner = req.requester;
         e.sharers.assign(req.requester);
-        snooper(req.requester)->ownRequestOrdered(req, anyOwner, false);
+        snooper(req.requester)->ownRequestOrdered(req);
         if (!anyOwner) {
             mem_->supply(req, false);
         }

@@ -162,7 +162,7 @@ BroadcastInterconnect::deliver(BusRequest req)
         // was in flight. It must not invalidate anyone; the requester
         // converts it to a GetX at its order point.
         snoopers_.at(static_cast<size_t>(req.requester))
-            ->ownRequestOrdered(req, false, false);
+            ->ownRequestOrdered(req);
         return;
     }
 
@@ -181,7 +181,7 @@ BroadcastInterconnect::deliver(BusRequest req)
         anySharer |= r.sharer;
     }
     snoopers_.at(static_cast<size_t>(req.requester))
-        ->ownRequestOrdered(req, anyOwner, anySharer);
+        ->ownRequestOrdered(req);
     if (!anyOwner &&
         (req.type == ReqType::GetS || req.type == ReqType::GetX)) {
         mem_->supply(req, anySharer);

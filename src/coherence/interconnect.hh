@@ -57,8 +57,7 @@ class Snooper
     /** Observe an ordered transaction from another processor. */
     virtual SnoopReply snoop(const BusRequest &req) = 0;
     /** Observe the ordering of this processor's own transaction. */
-    virtual void ownRequestOrdered(const BusRequest &req, bool any_owner,
-                                   bool any_sharer) = 0;
+    virtual void ownRequestOrdered(const BusRequest &req) = 0;
 
     /** Is this processor's copy of @p line still valid, making a
      *  pending Upgrade effective at its order point? A stale upgrade

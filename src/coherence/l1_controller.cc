@@ -118,6 +118,18 @@ L1Controller::evictLine(CacheLine &line)
     return true;
 }
 
+void
+L1Controller::dropLine(CacheLine &line)
+{
+    const Addr la = line.addr;
+    clearLinkIf(la);
+    if (TLR_TRACE_ARMED(trace_))
+        trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval, id_,
+                     la);
+    line.invalidate();
+    victim_.erase(la);
+}
+
 CacheLine *
 L1Controller::installLine(Addr line_addr, const LineData &data,
                           CohState state)
@@ -160,46 +172,47 @@ L1Controller::respond(const CacheOp &op, std::uint64_t value)
                    EventPrio::DataResponse);
 }
 
+template <class Mshrs, class Fn>
+bool
+L1Controller::anyHeldOff(Mshrs &mshrs, const Timestamp &mine, Fn &&fn)
+{
+    for (auto &[la, m] : mshrs) {
+        (void)la;
+        if (!m.holdsSpecOp())
+            continue;
+        for (const Waiter &w : m.waiters)
+            if (w.deferred && w.ts.valid && w.ts.earlierThan(mine) &&
+                fn(m, w))
+                return true;
+    }
+    return false;
+}
+
 bool
 L1Controller::hasEarlierContender(Addr *line_out) const
 {
-    Timestamp mine = hooks_.currentTs();
-    for (const auto &d : deferred_) {
-        if (d.ts.valid && d.ts.earlierThan(mine)) {
-            if (line_out)
-                *line_out = d.line;
-            return true;
-        }
-    }
-    for (const auto &[la, m] : mshrs_) {
-        if (!(m.op && m.op->spec) && !(m.queuedOp && m.queuedOp->spec))
-            continue;
-        for (const Waiter &w : m.waiters) {
-            if (w.deferred && w.ts.valid && w.ts.earlierThan(mine)) {
-                if (line_out)
-                    *line_out = la;
-                return true;
-            }
-        }
-    }
+    const Timestamp mine = hooks_.currentTs();
+    auto found = [line_out](Addr la) {
+        if (line_out)
+            *line_out = la;
+        return true;
+    };
+    for (const auto &d : deferred_)
+        if (d.ts.valid && d.ts.earlierThan(mine))
+            return found(d.line);
+    if (anyHeldOff(mshrs_, mine, [&](const Mshr &m, const Waiter &) {
+            return found(m.line);
+        }))
+        return true;
     for (const auto &[la, hint] : probeHints_) {
         if (!hint.valid || !hint.earlierThan(mine))
             continue;
         const CacheLine *l = findLineConst(la);
-        bool retained =
-            l && isOwnerState(l->state) && l->inTransaction();
-        if (!retained) {
-            auto mit = mshrs_.find(la);
-            retained = mit != mshrs_.end() &&
-                       ((mit->second.op && mit->second.op->spec) ||
-                        (mit->second.queuedOp &&
-                         mit->second.queuedOp->spec));
-        }
-        if (retained) {
-            if (line_out)
-                *line_out = la;
-            return true;
-        }
+        if (l && isOwnerState(l->state) && l->inTransaction())
+            return found(la);
+        auto mit = mshrs_.find(la);
+        if (mit != mshrs_.end() && mit->second.holdsSpecOp())
+            return found(la);
     }
     return false;
 }
@@ -210,24 +223,31 @@ L1Controller::forwardContenderProbes()
     // Push the priority of every held-off higher-priority contender
     // toward the data its chain is rooted at, so upstream holders
     // learn about it (paper Section 3.1.1).
-    for (auto &[line2, m2] : mshrs_) {
-        if (!(m2.op && m2.op->spec) &&
-            !(m2.queuedOp && m2.queuedOp->spec))
-            continue;
-        for (const Waiter &w : m2.waiters) {
-            if (!(w.deferred && w.ts.valid &&
-                  w.ts.earlierThan(hooks_.currentTs())))
-                continue;
-            if (m2.markerFrom != invalidCpu) {
-                net_.sendProbe(m2.markerFrom, {line2, w.ts, id_});
-                ++probesSent_;
-            } else if (!m2.pendingProbe ||
-                       w.ts.earlierThan(*m2.pendingProbe)) {
-                m2.pendingProbe = w.ts;
-            }
-            m2.loseOnArrival = true;
-        }
+    anyHeldOff(mshrs_, hooks_.currentTs(), [this](Mshr &m, const Waiter &w) {
+        forwardProbe(m, w.ts);
+        m.loseOnArrival = true;
+        return false;
+    });
+}
+
+void
+L1Controller::forwardProbe(Mshr &m, const Timestamp &ts)
+{
+    if (m.markerFrom != invalidCpu) {
+        net_.sendProbe(m.markerFrom, {m.line, ts, id_});
+        ++probesSent_;
+    } else if (!m.pendingProbe || ts.earlierThan(*m.pendingProbe)) {
+        m.pendingProbe = ts;
     }
+}
+
+void
+L1Controller::keepProbeHint(Addr line_addr, const Timestamp &ts)
+{
+    auto it = probeHints_.find(line_addr);
+    if (it == probeHints_.end() || ts.earlierThan(it->second))
+        probeHints_[line_addr] = ts;
+    maybeArmYield();
 }
 
 bool
@@ -237,25 +257,17 @@ L1Controller::detectTwoCycle(Addr *line_out) const
     // queued behind us (so C waits on us) while our upstream neighbor
     // for some outstanding transactional miss is C itself (so we wait
     // on C). Neither can commit; no timer needed.
-    Timestamp mine = hooks_.currentTs();
+    const Timestamp mine = hooks_.currentTs();
     auto waitsOnUs = [&](CpuId c) {
         for (const auto &d : deferred_)
             if (d.cpu == c && d.ts.valid && d.ts.earlierThan(mine))
                 return true;
-        for (const auto &[la2, m2] : mshrs_) {
-            (void)la2;
-            if (!(m2.op && m2.op->spec) &&
-                !(m2.queuedOp && m2.queuedOp->spec))
-                continue;
-            for (const Waiter &w : m2.waiters)
-                if (w.cpu == c && w.deferred && w.ts.valid &&
-                    w.ts.earlierThan(mine))
-                    return true;
-        }
-        return false;
+        return anyHeldOff(mshrs_, mine, [c](const Mshr &, const Waiter &w) {
+            return w.cpu == c;
+        });
     };
     for (const auto &[la, m] : mshrs_) {
-        if (!(m.op && m.op->spec) && !(m.queuedOp && m.queuedOp->spec))
+        if (!m.holdsSpecOp())
             continue;
         if (m.markerFrom != invalidCpu && waitsOnUs(m.markerFrom)) {
             if (line_out)
@@ -387,116 +399,88 @@ L1Controller::access(const CacheOp &op)
     }
 
     CacheLine *l = findLine(la);
-    unsigned wi = wordIndex(op.addr);
-
-    switch (op.kind) {
-      case CacheOp::Kind::LoadShared:
-      case CacheOp::Kind::LoadExclusive:
-        if (l) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            if (op.spec)
-                markRead(*l);
-            if (op.isLl) {
-                linkValid_ = true;
-                linkLine_ = la;
-                linkAddr_ = op.addr;
-            }
-            if (op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::TxnRead, id_, op.addr,
-                             l->data[wi]);
-            respond(op, l->data[wi]);
-            return;
-        }
+    if (op.kind == CacheOp::Kind::StoreCond && !linkValid(op.addr)) {
+        respond(op, 0);
+        return;
+    }
+    const bool load = op.kind == CacheOp::Kind::LoadShared ||
+                      op.kind == CacheOp::Kind::LoadExclusive;
+    if (l && (load || isWritableState(l->state))) {
+        ++hits_;
+        array_.touch(*l, eq_.now());
+        perform(op, l, l->data);
+        return;
+    }
+    if (load)
         missIssue(op, op.kind == CacheOp::Kind::LoadExclusive
                           ? ReqType::GetX
                           : ReqType::GetS);
-        return;
-
-      case CacheOp::Kind::Store:
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            l->data[wi] = op.data;
-            l->state = CohState::Modified;
-            clearLinkIf(la);
-            if (!op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             op.data);
-            respond(op, 0);
-            return;
-        }
+    else
         missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
-        return;
+}
 
-      case CacheOp::Kind::EnsureExclusive:
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            markWrite(*l);
-            // The current word value is returned so speculative
-            // atomics can read-modify-write through the write buffer.
-            if (op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::TxnRead, id_, op.addr,
-                             l->data[wi]);
-            respond(op, l->data[wi]);
-            return;
-        }
-        missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
-        return;
-
-      case CacheOp::Kind::AtomicSwap:
-      case CacheOp::Kind::AtomicCas:
-      case CacheOp::Kind::AtomicAdd:
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            std::uint64_t old = l->data[wi];
-            if (op.kind == CacheOp::Kind::AtomicAdd) {
-                l->data[wi] = old + op.data;
-                l->state = CohState::Modified;
-                clearLinkIf(la);
-            } else if (op.kind == CacheOp::Kind::AtomicSwap ||
-                       old == op.expected) {
-                l->data[wi] = op.data;
-                l->state = CohState::Modified;
-                clearLinkIf(la);
-            }
-            if (!op.spec && l->data[wi] != old &&
-                TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             l->data[wi]);
-            respond(op, old);
-            return;
-        }
-        missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
-        return;
-
-      case CacheOp::Kind::StoreCond:
-        if (!linkValid(op.addr)) {
-            respond(op, 0);
-            return;
-        }
-        if (l && isWritableState(l->state)) {
-            ++hits_;
-            array_.touch(*l, eq_.now());
-            l->data[wi] = op.data;
-            l->state = CohState::Modified;
-            linkValid_ = false;
-            if (!op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             op.data);
-            respond(op, 1);
-            return;
-        }
-        missIssue(op, l ? ReqType::Upgrade : ReqType::GetX);
+void
+L1Controller::perform(const CacheOp &op, CacheLine *line,
+                      const LineData &data)
+{
+    using Kind = CacheOp::Kind;
+    const unsigned wi = wordIndex(op.addr);
+    const std::uint64_t old = line ? line->data[wi] : data[wi];
+    const bool load =
+        op.kind == Kind::LoadShared || op.kind == Kind::LoadExclusive;
+    const bool writable = line && isWritableState(line->state);
+    if (op.kind == Kind::StoreCond && !(writable && linkValid(op.addr))) {
+        respond(op, 0); // the link went while the SC missed
         return;
     }
+    if (!load && !writable)
+        panic("l1 %d: write fill without write permission for %#llx", id_,
+              static_cast<unsigned long long>(op.addr));
+
+    if (load || op.kind == Kind::EnsureExclusive) {
+        if (op.kind == Kind::EnsureExclusive) {
+            markWrite(*line);
+        } else if (line) {
+            if (op.spec)
+                markRead(*line);
+            if (op.isLl) {
+                linkValid_ = true;
+                linkLine_ = lineAlign(op.addr);
+                linkAddr_ = op.addr;
+            }
+        }
+        // EnsureExclusive returns the current word too, so speculative
+        // atomics can read-modify-write through the write buffer.
+        if (op.spec && TLR_TRACE_ARMED(trace_))
+            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::TxnRead,
+                         id_, op.addr, old);
+        respond(op, old);
+        return;
+    }
+
+    const bool rmw = op.kind == Kind::AtomicSwap ||
+                     op.kind == Kind::AtomicCas ||
+                     op.kind == Kind::AtomicAdd;
+    if (op.kind != Kind::AtomicCas || old == op.expected) {
+        line->data[wi] =
+            op.kind == Kind::AtomicAdd ? old + op.data : op.data;
+        line->state = CohState::Modified;
+        clearLinkIf(lineAlign(op.addr));
+    }
+    if (!op.spec && (!rmw || line->data[wi] != old) &&
+        TLR_TRACE_ARMED(trace_))
+        trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::MemWrite, id_,
+                     op.addr, line->data[wi]);
+    respond(op, rmw ? old : op.kind == Kind::StoreCond ? 1 : 0);
+}
+
+void
+L1Controller::reissueQueued(const Mshr &m)
+{
+    if (!m.queuedOp)
+        return;
+    CacheOp q = *m.queuedOp;
+    eq_.scheduleIn(1, [this, q] { access(q); });
 }
 
 //
@@ -548,10 +532,35 @@ L1Controller::deferredExclusive(Addr line_addr) const
 }
 
 void
-L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
-                               SnoopReply &reply)
+L1Controller::recordDefer(Addr line_addr, const BusRequest &req,
+                          bool relaxed)
 {
-    (void)reply;
+    ++defers_;
+    if (!TLR_TRACE_ARMED(trace_))
+        return;
+    trace_->emit(eq_.now(), TraceComp::L1,
+                 relaxed ? TraceEvent::CohRelaxedDefer : TraceEvent::CohDefer,
+                 id_, line_addr, req.requester,
+                 static_cast<std::uint64_t>(req.type), req.ts.clock,
+                 packTsMeta(req.ts));
+    trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohDeferDepth, id_, 0,
+                 deferredDepth());
+}
+
+void
+L1Controller::traceLose(Addr line_addr, const Timestamp &winner)
+{
+    if (!TLR_TRACE_ARMED(trace_))
+        return;
+    const Timestamp own = hooks_.currentTs();
+    trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohLose, id_,
+                 line_addr, winner.clock, packTsMeta(winner), own.clock,
+                 packTsMeta(own));
+}
+
+void
+L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req)
+{
     Waiter w{req.requester, req.type, req.ts, false};
     // Tell the new pending owner who its upstream neighbor is so it
     // can forward probes toward the data (paper Section 3.1.1).
@@ -564,15 +573,8 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
     // the block. We cannot make that decision here — the holder may
     // be a multi-block transaction that has to yield even when we
     // would not.
-    if (req.ts.valid) {
-        if (mshr.markerFrom != invalidCpu) {
-            net_.sendProbe(mshr.markerFrom, {mshr.line, req.ts, id_});
-            ++probesSent_;
-        } else if (!mshr.pendingProbe ||
-                   req.ts.earlierThan(*mshr.pendingProbe)) {
-            mshr.pendingProbe = req.ts;
-        }
-    }
+    if (req.ts.valid)
+        forwardProbe(mshr, req.ts);
 
     bool writeIntent =
         mshr.op && (mshr.op->kind == CacheOp::Kind::EnsureExclusive ||
@@ -582,11 +584,11 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
                     mshr.op->kind == CacheOp::Kind::AtomicCas);
     bool readIntent = mshr.op && !writeIntent;
 
+    bool relaxed = false;
     if (mshr.spec && hooks_.specActive() &&
         conflicts(req, readIntent, writeIntent)) {
         hooks_.noteConflictTs(req.ts);
         bool win = winsConflict(req.ts);
-        bool relaxed = false;
         if (!win && hooks_.tlrActive() && !hooks_.strictTimestamps() &&
             outstandingSpecMisses() == 1 && deferred_.empty()) {
             // Paper Section 3.2: our transaction is involved with a
@@ -610,36 +612,10 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
         if (win) {
             // The requester waits until we commit.
             w.deferred = true;
-            ++defers_;
-            if (TLR_TRACE_ARMED(trace_)) {
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             relaxed ? TraceEvent::CohRelaxedDefer
-                                     : TraceEvent::CohDefer,
-                             id_, mshr.line, req.requester,
-                             static_cast<std::uint64_t>(req.type),
-                             req.ts.clock, packTsMeta(req.ts));
-                // +1: w joins mshr.waiters just below, on either path.
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohDeferDepth, id_, 0,
-                             deferredDepth() + 1);
-            }
-            if (req.ts.valid &&
-                req.ts.earlierThan(hooks_.currentTs())) {
-                mshr.waiters.push_back(w);
-                if (req.type != ReqType::GetS)
-                    mshr.ownershipPassed = true;
-                maybeArmYield();
-                return;
-            }
         } else {
             // Strict mode / un-deferrable: step aside immediately.
-            if (TLR_TRACE_ARMED(trace_) && hooks_.tlrActive()) {
-                const Timestamp own = hooks_.currentTs();
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohLose, id_, mshr.line,
-                             req.ts.clock, packTsMeta(req.ts),
-                             own.clock, packTsMeta(own));
-            }
+            if (hooks_.tlrActive())
+                traceLose(mshr.line, req.ts);
             mshr.loseOnArrival = true;
             hooks_.conflictAbort(mshr.line, AbortReason::ConflictLost);
         }
@@ -648,6 +624,11 @@ L1Controller::handleChainSnoop(Mshr &mshr, const BusRequest &req,
     mshr.waiters.push_back(w);
     if (req.type != ReqType::GetS)
         mshr.ownershipPassed = true;
+    if (w.deferred) {
+        recordDefer(mshr.line, req, relaxed);
+        if (req.ts.valid && req.ts.earlierThan(hooks_.currentTs()))
+            maybeArmYield();
+    }
 }
 
 void
@@ -676,63 +657,47 @@ L1Controller::handleOwnerSnoop(CacheLine &line, const BusRequest &req,
             ++relaxedDefers_;
         }
         if (win) {
-            if (TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             relaxed ? TraceEvent::CohRelaxedDefer
-                                     : TraceEvent::CohDefer,
-                             id_, la, req.requester,
-                             static_cast<std::uint64_t>(req.type),
-                             req.ts.clock, packTsMeta(req.ts));
-            ++defers_;
             deferred_.push_back({la, req.requester, req.type, req.ts});
             pin(line);
-            if (TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohDeferDepth, id_, 0,
-                             deferredDepth());
+            recordDefer(la, req, relaxed);
             net_.sendMarker(req.requester, {la, id_});
             maybeArmYield();
             return; // owner=true already: requester waits on us
         }
-        if (TLR_TRACE_ARMED(trace_) && hooks_.tlrActive() &&
-            isWritableState(line.state)) {
-            const Timestamp own = hooks_.currentTs();
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohLose,
-                         id_, la, req.ts.clock, packTsMeta(req.ts),
-                         own.clock, packTsMeta(own));
-        }
+        if (hooks_.tlrActive() && isWritableState(line.state))
+            traceLose(la, req.ts);
         hooks_.conflictAbort(la, isWritableState(line.state)
                                      ? AbortReason::ConflictLost
                                      : AbortReason::SharedInvalidation);
         // Access bits are cleared now; service the request normally.
         // Note: `line` is still valid — aborting never invalidates it.
     }
+    grant(line, req.requester, req.type);
+    reply.sharer = req.type == ReqType::GetS;
+}
 
+void
+L1Controller::grant(CacheLine &line, CpuId to, ReqType type)
+{
     DataMsg msg;
-    msg.line = la;
+    msg.line = line.addr;
     msg.data = line.data;
     msg.from = id_;
-    if (req.type == ReqType::GetS) {
+    if (type == ReqType::GetS) {
         msg.grant = Grant::SharedData;
         if (line.state == CohState::Modified)
             line.state = CohState::Owned;
         else if (line.state == CohState::Exclusive)
             line.state = CohState::Shared;
-        reply.sharer = true;
         if (TLR_TRACE_ARMED(trace_))
             trace_->emit(eq_.now(), TraceComp::L1,
-                         TraceEvent::LineDowngrade, id_, la,
+                         TraceEvent::LineDowngrade, id_, line.addr,
                          static_cast<std::uint64_t>(line.state));
     } else {
         msg.grant = Grant::ModifiedData;
-        clearLinkIf(la);
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
-                         id_, la);
-        line.invalidate();
-        victim_.erase(la);
+        dropLine(line);
     }
-    net_.sendData(req.requester, msg);
+    net_.sendData(to, msg);
 }
 
 SnoopReply
@@ -748,7 +713,7 @@ L1Controller::snoop(const BusRequest &req)
             // We are the protocol owner even though data has not
             // arrived: record the request in the ownership chain.
             reply.owner = true;
-            handleChainSnoop(m, req, reply);
+            handleChainSnoop(m, req);
             return reply;
         }
         if (!m.isExclusive()) {
@@ -778,65 +743,40 @@ L1Controller::snoop(const BusRequest &req)
     if (!l)
         return reply;
 
-    if (isOwnerState(l->state)) {
-        if (deferredExclusive(la)) {
-            // Ownership was already promised to a deferred GetX; new
-            // requests are recorded at that pending owner instead.
+    if (l->state == CohState::Shared) {
+        reply.sharer = true;
+        if (req.type == ReqType::GetS)
             return reply;
-        }
-        if (req.type == ReqType::Upgrade) {
-            // A valid upgrade implies the requester holds Shared, so
-            // no Modified/Exclusive copy can exist anywhere.
-            if (isWritableState(l->state))
-                panic("l1 %d: valid upgrade snooped on %s line %#llx",
-                      id_, cohStateName(l->state),
-                      static_cast<unsigned long long>(la));
-            // Owned copy: same data as the upgrader's Shared copy; no
-            // data response exists to withhold, so an upgrade can
-            // never be deferred (paper Section 3.1.2).
-            if (l->inTransaction() && hooks_.specActive()) {
-                hooks_.noteConflictTs(req.ts);
-                hooks_.conflictAbort(la, AbortReason::SharedInvalidation);
-            }
-            clearLinkIf(la);
-            if (TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::LineInval, id_, la);
-            l->invalidate();
-            victim_.erase(la);
-            return reply;
-        }
+    } else if (!isOwnerState(l->state) || deferredExclusive(la)) {
+        // Nothing held; or ownership was already promised to a
+        // deferred GetX, and new requests are recorded at that pending
+        // owner instead.
+        return reply;
+    } else if (req.type != ReqType::Upgrade) {
         reply.owner = true;
         handleOwnerSnoop(*l, req, reply);
         return reply;
+    } else if (isWritableState(l->state)) {
+        // A valid upgrade implies the requester holds Shared, so no
+        // Modified/Exclusive copy can exist anywhere.
+        panic("l1 %d: valid upgrade snooped on %s line %#llx", id_,
+              cohStateName(l->state), static_cast<unsigned long long>(la));
     }
-
-    if (l->state == CohState::Shared) {
-        if (req.type == ReqType::GetS) {
-            reply.sharer = true;
-            return reply;
-        }
-        reply.sharer = true;
-        if (l->inTransaction() && hooks_.specActive()) {
-            hooks_.noteConflictTs(req.ts);
-            hooks_.conflictAbort(la, AbortReason::SharedInvalidation);
-        }
-        clearLinkIf(la);
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
-                         id_, la);
-        l->invalidate();
-        victim_.erase(la);
+    // A writer takes our Shared copy, or our Owned one under an
+    // upgrade: the upgrader holds the same data, so no data response
+    // exists to withhold and the request can never be deferred (paper
+    // Section 3.1.2).
+    if (l->inTransaction() && hooks_.specActive()) {
+        hooks_.noteConflictTs(req.ts);
+        hooks_.conflictAbort(la, AbortReason::SharedInvalidation);
     }
+    dropLine(*l);
     return reply;
 }
 
 void
-L1Controller::ownRequestOrdered(const BusRequest &req, bool any_owner,
-                                bool any_sharer)
+L1Controller::ownRequestOrdered(const BusRequest &req)
 {
-    (void)any_owner;
-    (void)any_sharer;
     auto it = mshrs_.find(req.line);
     if (it == mshrs_.end())
         panic("l1 %d: ordered request without MSHR line=%#llx", id_,
@@ -856,13 +796,11 @@ L1Controller::ownRequestOrdered(const BusRequest &req, bool any_owner,
                              TraceEvent::LineUpgrade, id_, req.line);
             Mshr done = std::move(m);
             mshrs_.erase(it);
-            finishOp(done, l, l->data);
+            if (done.op)
+                perform(*done.op, l, l->data);
             if (done.op && done.op->spec)
                 hooks_.specMshrDrained(req.line);
-            if (done.queuedOp) {
-                CacheOp q = *done.queuedOp;
-                eq_.scheduleIn(1, [this, q] { access(q); });
-            }
+            reissueQueued(done);
             return;
         }
         // Invalidated while the upgrade was in flight: reissue as GetX.
@@ -880,90 +818,6 @@ L1Controller::ownRequestOrdered(const BusRequest &req, bool any_owner,
 }
 
 void
-L1Controller::finishOp(Mshr &mshr, CacheLine *line, const LineData &data)
-{
-    if (!mshr.op)
-        return; // dropped by an abort; the fill still installed the line
-    const CacheOp &op = *mshr.op;
-    unsigned wi = wordIndex(op.addr);
-
-    switch (op.kind) {
-      case CacheOp::Kind::LoadShared:
-      case CacheOp::Kind::LoadExclusive: {
-        std::uint64_t v = line ? line->data[wi] : data[wi];
-        if (op.spec && line)
-            markRead(*line);
-        if (op.isLl && line) {
-            linkValid_ = true;
-            linkLine_ = lineAlign(op.addr);
-            linkAddr_ = op.addr;
-        }
-        if (op.spec && TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::TxnRead,
-                         id_, op.addr, v);
-        respond(op, v);
-        return;
-      }
-      case CacheOp::Kind::Store:
-        if (!line || !isWritableState(line->state))
-            panic("l1 %d: store fill without write permission", id_);
-        line->data[wi] = op.data;
-        line->state = CohState::Modified;
-        clearLinkIf(lineAlign(op.addr));
-        if (!op.spec && TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::MemWrite,
-                         id_, op.addr, op.data);
-        respond(op, 0);
-        return;
-      case CacheOp::Kind::EnsureExclusive:
-        if (!line || !isWritableState(line->state))
-            panic("l1 %d: ensureX fill without write permission", id_);
-        markWrite(*line);
-        if (op.spec && TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::TxnRead,
-                         id_, op.addr, line->data[wi]);
-        respond(op, line->data[wi]);
-        return;
-      case CacheOp::Kind::AtomicSwap:
-      case CacheOp::Kind::AtomicCas:
-      case CacheOp::Kind::AtomicAdd: {
-        if (!line || !isWritableState(line->state))
-            panic("l1 %d: atomic fill without write permission", id_);
-        std::uint64_t old = line->data[wi];
-        if (op.kind == CacheOp::Kind::AtomicAdd) {
-            line->data[wi] = old + op.data;
-            line->state = CohState::Modified;
-            clearLinkIf(lineAlign(op.addr));
-        } else if (op.kind == CacheOp::Kind::AtomicSwap ||
-                   old == op.expected) {
-            line->data[wi] = op.data;
-            line->state = CohState::Modified;
-            clearLinkIf(lineAlign(op.addr));
-        }
-        if (!op.spec && line->data[wi] != old && TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::MemWrite,
-                         id_, op.addr, line->data[wi]);
-        respond(op, old);
-        return;
-      }
-      case CacheOp::Kind::StoreCond:
-        if (line && isWritableState(line->state) && linkValid(op.addr)) {
-            line->data[wi] = op.data;
-            line->state = CohState::Modified;
-            linkValid_ = false;
-            if (!op.spec && TLR_TRACE_ARMED(trace_))
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::MemWrite, id_, op.addr,
-                             op.data);
-            respond(op, 1);
-        } else {
-            respond(op, 0);
-        }
-        return;
-    }
-}
-
-void
 L1Controller::dataResponse(const DataMsg &msg)
 {
     auto it = mshrs_.find(msg.line);
@@ -976,8 +830,10 @@ L1Controller::dataResponse(const DataMsg &msg)
     CacheLine *l = nullptr;
     if (msg.grant == Grant::DontInstall || m.invalidateOnArrival) {
         // Use the data for the pending op only (ordered before the
-        // overtaking write), do not cache it.
-        finishOp(m, nullptr, msg.data);
+        // overtaking write), do not cache it. An op dropped by an abort
+        // leaves nothing to do.
+        if (m.op)
+            perform(*m.op, nullptr, msg.data);
     } else {
         CohState st = CohState::Shared;
         if (msg.grant == Grant::ExclusiveData && !m.downgradeToShared)
@@ -985,8 +841,8 @@ L1Controller::dataResponse(const DataMsg &msg)
         else if (msg.grant == Grant::ModifiedData)
             st = CohState::Modified;
         l = installLine(msg.line, msg.data, st);
-        if (!m.loseOnArrival)
-            finishOp(m, l, msg.data);
+        if (m.op && !m.loseOnArrival)
+            perform(*m.op, l, msg.data);
     }
 
     if (m.op && m.op->spec)
@@ -1014,10 +870,7 @@ L1Controller::dataResponse(const DataMsg &msg)
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::CohDeferDepth,
                      id_, 0, deferredDepth());
 
-    if (m.queuedOp) {
-        CacheOp q = *m.queuedOp;
-        eq_.scheduleIn(1, [this, q] { access(q); });
-    }
+    reissueQueued(m);
     if (hooks_.specActive())
         maybeArmYield();
 }
@@ -1035,30 +888,7 @@ L1Controller::serviceWaiter(const Waiter &w, Addr line_addr,
                      id_, line_addr,
                      static_cast<std::uint64_t>(w.cpu),
                      static_cast<std::uint64_t>(cause));
-    DataMsg msg;
-    msg.line = line_addr;
-    msg.data = l->data;
-    msg.from = id_;
-    if (w.type == ReqType::GetS) {
-        msg.grant = Grant::SharedData;
-        if (l->state == CohState::Modified)
-            l->state = CohState::Owned;
-        else if (l->state == CohState::Exclusive)
-            l->state = CohState::Shared;
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1,
-                         TraceEvent::LineDowngrade, id_, line_addr,
-                         static_cast<std::uint64_t>(l->state));
-    } else {
-        msg.grant = Grant::ModifiedData;
-        clearLinkIf(line_addr);
-        if (TLR_TRACE_ARMED(trace_))
-            trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
-                         id_, line_addr);
-        l->invalidate();
-        victim_.erase(line_addr);
-    }
-    net_.sendData(w.cpu, msg);
+    grant(*l, w.cpu, w.type);
 }
 
 //
@@ -1106,20 +936,10 @@ L1Controller::probe(const ProbeMsg &msg)
                 // a future one) persists, the recovery timer enforces
                 // timestamp order; if we commit first, servicing the
                 // deferred queue satisfies the contender anyway.
-                auto it = probeHints_.find(la);
-                if (it == probeHints_.end() ||
-                    msg.ts.earlierThan(it->second))
-                    probeHints_[la] = msg.ts;
-                maybeArmYield();
+                keepProbeHint(la, msg.ts);
                 return;
             }
-            if (TLR_TRACE_ARMED(trace_)) {
-                const Timestamp own = hooks_.currentTs();
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohLose, id_, la, msg.ts.clock,
-                             packTsMeta(msg.ts), own.clock,
-                             packTsMeta(own));
-            }
+            traceLose(la, msg.ts);
             hooks_.conflictAbort(la, AbortReason::ProbeLost);
         }
         return;
@@ -1130,32 +950,17 @@ L1Controller::probe(const ProbeMsg &msg)
     if (it != mshrs_.end() && it->second.ordered &&
         it->second.isExclusive()) {
         Mshr &m = it->second;
-        if (m.markerFrom != invalidCpu) {
-            net_.sendProbe(m.markerFrom, {la, msg.ts, id_});
-            ++probesSent_;
-        } else if (!m.pendingProbe || msg.ts.earlierThan(*m.pendingProbe)) {
-            m.pendingProbe = msg.ts;
-        }
+        forwardProbe(m, msg.ts);
         if (m.spec && m.op && hooks_.specActive() &&
             !winsConflict(msg.ts)) {
             hooks_.noteConflictTs(msg.ts);
             if (hooks_.tlrActive() && !hooks_.strictTimestamps()) {
                 // Remember the contender's priority for the recovery
                 // timer; it was already forwarded up the chain above.
-                auto it = probeHints_.find(la);
-                if (it == probeHints_.end() ||
-                    msg.ts.earlierThan(it->second))
-                    probeHints_[la] = msg.ts;
-                maybeArmYield();
+                keepProbeHint(la, msg.ts);
                 return;
             }
-            if (TLR_TRACE_ARMED(trace_)) {
-                const Timestamp own = hooks_.currentTs();
-                trace_->emit(eq_.now(), TraceComp::L1,
-                             TraceEvent::CohLose, id_, la, msg.ts.clock,
-                             packTsMeta(msg.ts), own.clock,
-                             packTsMeta(own));
-            }
+            traceLose(la, msg.ts);
             m.loseOnArrival = true;
             hooks_.conflictAbort(la, AbortReason::ProbeLost);
         }
@@ -1301,9 +1106,7 @@ L1Controller::outstandingSpecMisses() const
     unsigned n = 0;
     for (const auto &[la, m] : mshrs_) {
         (void)la;
-        // A queued re-issued op on an orphaned miss is still a real
-        // dependency: the transaction cannot finish until it fills.
-        if ((m.op && m.op->spec) || (m.queuedOp && m.queuedOp->spec))
+        if (m.holdsSpecOp())
             ++n;
     }
     return n;

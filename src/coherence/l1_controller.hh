@@ -102,8 +102,7 @@ class L1Controller : public Snooper
     bool upgradeValid(Addr line) const override;
     bool holdsLineState(Addr line) const override;
     SnoopReply snoop(const BusRequest &req) override;
-    void ownRequestOrdered(const BusRequest &req, bool any_owner,
-                           bool any_sharer) override;
+    void ownRequestOrdered(const BusRequest &req) override;
     void dataResponse(const DataMsg &msg) override;
     void marker(const MarkerMsg &msg) override;
     void probe(const ProbeMsg &msg) override;
@@ -153,6 +152,13 @@ class L1Controller : public Snooper
         {
             return type == ReqType::GetX || type == ReqType::Upgrade;
         }
+        /** Still carries an op of the running transaction. A queued
+         *  re-issue on an orphaned miss counts: the transaction cannot
+         *  finish until the line fills. */
+        bool holdsSpecOp() const
+        {
+            return (op && op->spec) || (queuedOp && queuedOp->spec);
+        }
     };
 
     struct DeferredReq
@@ -169,19 +175,46 @@ class L1Controller : public Snooper
     CacheLine *installLine(Addr line_addr, const LineData &data,
                            CohState state);
     bool evictLine(CacheLine &line);
+    /** Drop a line we give away: unlink, trace, invalidate, and
+     *  forget any victim copy. (evictLine() writes back instead.) */
+    void dropLine(CacheLine &line);
     void respond(const CacheOp &op, std::uint64_t value);
-    void finishOp(Mshr &mshr, CacheLine *line, const LineData &data);
+    /** Carry out @p op on @p line: every op kind, on a hit and on a
+     *  fill. A null @p line means the fill is not cached: @p data is
+     *  used once. */
+    void perform(const CacheOp &op, CacheLine *line, const LineData &data);
+    /** Re-issue the op a restart queued behind a finished miss. */
+    void reissueQueued(const Mshr &m);
     void missIssue(const CacheOp &op, ReqType type);
     bool yieldBeforeWaiting(Addr line_addr, bool spec);
+    /** Visit each chain waiter we hold off that outranks @p mine,
+     *  behind a miss of the running transaction, until @p fn returns
+     *  true; return whether it did. */
+    template <class Mshrs, class Fn>
+    static bool anyHeldOff(Mshrs &mshrs, const Timestamp &mine, Fn &&fn);
     bool hasEarlierContender(Addr *line_out = nullptr) const;
     bool detectTwoCycle(Addr *line_out = nullptr) const;
     void forwardContenderProbes();
+    /** Pass a contender's priority up the chain: to the upstream
+     *  neighbor if a marker named it, else keep the earliest until one
+     *  does (paper Section 3.1.1). */
+    void forwardProbe(Mshr &m, const Timestamp &ts);
+    /** Remember the earliest probe that outranks us on @p line_addr
+     *  for the deadlock-recovery timer, and arm it if we wait. */
+    void keepProbeHint(Addr line_addr, const Timestamp &ts);
     void maybeArmYield();
     void yieldFire(std::uint64_t gen);
-    void handleChainSnoop(Mshr &mshr, const BusRequest &req,
-                          SnoopReply &reply);
+    /** Count a deferral of @p req, already queued, and trace it with
+     *  the new backlog depth. */
+    void recordDefer(Addr line_addr, const BusRequest &req, bool relaxed);
+    /** Trace that our transaction lost @p line_addr to @p winner. */
+    void traceLose(Addr line_addr, const Timestamp &winner);
+    void handleChainSnoop(Mshr &mshr, const BusRequest &req);
     void handleOwnerSnoop(CacheLine &line, const BusRequest &req,
                           SnoopReply &reply);
+    /** Send @p line's data to @p to: a GetS downgrades our copy
+     *  (M to O, E to S), anything else takes the line. */
+    void grant(CacheLine &line, CpuId to, ReqType type);
     void serviceWaiter(const Waiter &w, Addr line_addr,
                        ServiceCause cause = ServiceCause::Chain);
     /** Shared tail of commit and abort: clear the footprint's access
