@@ -175,15 +175,13 @@ class L1Controller : public Snooper
     CacheLine *installLine(Addr line_addr, const LineData &data,
                            CohState state);
     bool evictLine(CacheLine &line);
-    /** Drop a line we give away: unlink, trace, invalidate, and
-     *  forget any victim copy. (evictLine() writes back instead.) */
+    /** Give a line away; unlike evictLine(), no write-back. */
     void dropLine(CacheLine &line);
     void respond(const CacheOp &op, std::uint64_t value);
     /** Carry out @p op on @p line: every op kind, on a hit and on a
      *  fill. A null @p line means the fill is not cached: @p data is
      *  used once. */
     void perform(const CacheOp &op, CacheLine *line, const LineData &data);
-    /** Re-issue the op a restart queued behind a finished miss. */
     void reissueQueued(const Mshr &m);
     void missIssue(const CacheOp &op, ReqType type);
     bool yieldBeforeWaiting(Addr line_addr, bool spec);
@@ -207,7 +205,6 @@ class L1Controller : public Snooper
     /** Count a deferral of @p req, already queued, and trace it with
      *  the new backlog depth. */
     void recordDefer(Addr line_addr, const BusRequest &req, bool relaxed);
-    /** Trace that our transaction lost @p line_addr to @p winner. */
     void traceLose(Addr line_addr, const Timestamp &winner);
     void handleChainSnoop(Mshr &mshr, const BusRequest &req);
     void handleOwnerSnoop(CacheLine &line, const BusRequest &req,

@@ -281,6 +281,38 @@ TEST(Controller, DebugStateRendersMshrsAndDeferred)
     EXPECT_NE(dump.find("DEFERRED"), std::string::npos);
 }
 
+TEST(Controller, StrictPendingOwnerLosesToAnEarlierProbe)
+{
+    Rig r;
+    // cpu1 holds the line in a transaction with the earliest timestamp.
+    r.hooks1.spec = r.hooks1.tlr = true;
+    r.hooks1.ts = Timestamp::make(1, 1);
+    r.access(r.l1b, CacheOp::Kind::LoadExclusive, lineA, 0, true);
+    r.run();
+    // cpu0 (strict, later timestamp) is deferred there: it becomes the
+    // pending owner of the line and learns cpu1 is upstream.
+    r.hooks0.spec = r.hooks0.tlr = r.hooks0.strict = true;
+    r.hooks0.ts = Timestamp::make(5, 0);
+    r.access(r.l1a, CacheOp::Kind::EnsureExclusive, lineA, 0, true);
+    r.eq.run(2'000);
+    ASSERT_EQ(r.l1b.deferredCount(), 1u);
+    ASSERT_TRUE(r.hooks0.aborts.empty());
+    // A probe carrying an earlier contender reaches cpu0: in strict
+    // mode the pending owner steps aside and will pass the data on.
+    const std::uint64_t probes = r.stats.get("l1_0", "probesSent");
+    r.l1a.probe({lineA, Timestamp::make(2, 7), 1});
+    ASSERT_EQ(r.hooks0.aborts.size(), 1u);
+    EXPECT_EQ(r.hooks0.aborts[0], AbortReason::ProbeLost);
+    EXPECT_EQ(r.stats.get("l1_0", "probesSent"), probes + 1); // upstream
+    r.hooks1.spec = false;
+    r.l1b.commitTransaction(WriteBuffer(4));
+    r.run();
+    // The fill arrives for an op the abort dropped: nothing completes.
+    EXPECT_TRUE(r.hooks0.completions.empty());
+    EXPECT_EQ(r.l1a.lineState(lineA), CohState::Modified);
+    EXPECT_TRUE(r.hooks1.aborts.empty());
+}
+
 //
 // ---- transaction footprint lists ---------------------------------------
 //
@@ -535,20 +567,28 @@ outcome(Rig &r, const OpRecords &rec, Addr addr)
 constexpr Addr opAddr = lineA + 8; // word 1 of the line
 constexpr std::uint64_t opOld = 7;
 
+/** How the op under test finds its line at cpu 0. */
+enum class Path
+{
+    Hit,     ///< resident with the permission the op needs
+    Fill,    ///< absent: the op misses to memory
+    Upgrade, ///< Shared next to cpu 1: a write misses with an upgrade
+};
+
 /**
- * Run @p op once at cpu 0 and describe what it did. As a hit, a
- * non-speculative access first brings the line in with the request
- * type the op would miss with, so both paths start from the same
- * state and data. As a fill, the op itself misses.
+ * Run @p op once at cpu 0 along @p path and describe what it did. For
+ * a hit, a non-speculative access first brings the line in with the
+ * request type the op would miss with, so every path starts from the
+ * same data and ends in the same state.
  *
- * StoreCond needs a link: as a hit it is set by an LL (and, with
- * @p lose_link, cleared again by a store to the line); as a fill the
- * LL reads the line Shared next to cpu 1, so the SC misses with an
- * upgrade, and with @p lose_link a store from cpu 1 is ordered first,
- * which takes the line and the link before the fill.
+ * StoreCond needs a link, set by the priming access as an LL. With
+ * @p lose_link the link goes before the SC completes: on a hit, a
+ * store to the line clears it first; on an upgrade, a store from
+ * cpu 1 is ordered first and takes the line and the link, so the
+ * upgrade turns into a GetX.
  */
 std::string
-runOp(CacheOp op, bool hit, bool lose_link = false)
+runOp(CacheOp op, Path path, bool lose_link = false)
 {
     Rig r;
     TraceSink sink;
@@ -557,22 +597,21 @@ runOp(CacheOp op, bool hit, bool lose_link = false)
     r.l1a.setTrace(&sink);
     r.store.writeWord(opAddr, opOld);
     r.hooks0.spec = op.spec;
-    const bool sc = op.kind == CacheOp::Kind::StoreCond;
 
     CacheOp prime;
     prime.addr = opAddr;
     prime.kind = op.kind == CacheOp::Kind::LoadShared
                      ? CacheOp::Kind::LoadShared
                      : CacheOp::Kind::LoadExclusive;
-    prime.isLl = sc;
-    if (hit) {
+    prime.isLl = op.kind == CacheOp::Kind::StoreCond;
+    if (path == Path::Hit) {
         r.l1a.access(prime);
         r.run();
         if (lose_link) {
             r.access(r.l1a, CacheOp::Kind::Store, opAddr, 5);
             r.run();
         }
-    } else if (sc) {
+    } else if (path == Path::Upgrade) {
         r.access(r.l1b, CacheOp::Kind::LoadShared, opAddr);
         r.run();
         prime.kind = CacheOp::Kind::LoadShared;
@@ -589,7 +628,8 @@ runOp(CacheOp op, bool hit, bool lose_link = false)
     const std::uint64_t misses = r.stats.get("l1_0", "misses");
     r.l1a.access(op);
     r.run();
-    EXPECT_EQ(r.stats.get("l1_0", "misses"), misses + (hit ? 0 : 1));
+    EXPECT_EQ(r.stats.get("l1_0", "misses"),
+              misses + (path == Path::Hit ? 0 : 1));
     return outcome(r, rec, opAddr);
 }
 
@@ -606,7 +646,7 @@ makeOp(CacheOp::Kind kind, std::uint64_t data = 0, bool spec = false)
 
 } // namespace
 
-TEST(Controller, EveryOpKindDoesTheSameOnAHitAndAFill)
+TEST(Controller, EveryOpKindDoesTheSameOnAHitAFillAndAnUpgrade)
 {
     using K = CacheOp::Kind;
     struct Case
@@ -647,9 +687,16 @@ TEST(Controller, EveryOpKindDoesTheSameOnAHitAndAFill)
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.name);
-        const std::string hit = runOp(c.op, /*hit=*/true, c.loseLink);
-        const std::string fill = runOp(c.op, /*hit=*/false, c.loseLink);
-        EXPECT_EQ(hit, fill);
-        EXPECT_EQ(hit, c.want);
+        // A load never upgrades; an SC cannot hold a link on an absent
+        // line.
+        std::vector<Path> paths = {Path::Hit};
+        if (c.op.kind != K::StoreCond)
+            paths.push_back(Path::Fill);
+        if (c.op.kind != K::LoadShared && c.op.kind != K::LoadExclusive)
+            paths.push_back(Path::Upgrade);
+        for (Path p : paths) {
+            SCOPED_TRACE(static_cast<int>(p));
+            EXPECT_EQ(runOp(c.op, p, c.loseLink), c.want);
+        }
     }
 }
