@@ -101,9 +101,8 @@ struct GoldenRow
     unsigned victimEntries = L1Params{}.victimEntries;
     std::uint64_t victimInserts = 0;
     std::uint64_t victimFullAborts = 0;
-    /** Machine size and seed; the defaults are the first rows'. */
+    /** Machine size; the default is the first rows'. */
     int cpus = 4;
-    std::uint64_t seed = MachineParams{}.seed;
     /** Preempt core k % cpus at tick k * preemptEvery, for
      *  preemptQuantum cycles, up to tick preemptHorizon (0 = never). */
     Tick preemptEvery = 0;
@@ -164,7 +163,7 @@ const GoldenRow kGolden[] = {
     {Scheme::TlrStrictTs, D, "rotated-blocks", 268518, 176370, 1024, 8551, 12973, 207244, 0xf93255edcdd9e071ull, 131072, 16, 0, 0, 8},
     // Strict timestamps under preemption: a probe reaches a pending
     // owner whose transaction was preempted.
-    {Scheme::TlrStrictTs, D, "reverse-writers", 215394, 141069, 1024, 7584, 10283, 171011, 0x8310ac282a8ddd24ull, 131072, 16, 0, 0, 8, 12345, 2000},
+    {Scheme::TlrStrictTs, D, "reverse-writers", 215394, 141069, 1024, 7584, 10283, 171011, 0x8310ac282a8ddd24ull, 131072, 16, 0, 0, 8, 2000},
 };
 // clang-format on
 
@@ -184,11 +183,9 @@ runRow(const GoldenRow &want)
     mp.spec = schemeSpecConfig(s);
     mp.l1.sizeBytes = want.l1Bytes;
     mp.l1.victimEntries = want.victimEntries;
-    mp.seed = want.seed;
     WorkloadParams wp;
     wp.numCpus = want.cpus;
     wp.ops = 128;
-    wp.seed = want.seed;
     wp.lockKind = schemeLockKind(s);
     Workload wl = makeRegisteredWorkload(workload, wp);
 
@@ -217,7 +214,6 @@ runRow(const GoldenRow &want)
     out.victimInserts = sys.stats().sum("l1_", "victimInserts");
     out.victimFullAborts = sys.stats().sum("spec", "abort.victim-full");
     out.cpus = want.cpus;
-    out.seed = want.seed;
     out.preemptEvery = want.preemptEvery;
     return out;
 }
@@ -242,8 +238,8 @@ rowText(const GoldenRow &r)
     // Rows on the default geometry and machine that never touch the
     // victim cache omit the trailing fields.
     const GoldenRow dflt{};
-    const bool machine = r.cpus != dflt.cpus || r.seed != dflt.seed ||
-                         r.preemptEvery != dflt.preemptEvery;
+    const bool machine =
+        r.cpus != dflt.cpus || r.preemptEvery != dflt.preemptEvery;
     if (machine || r.l1Bytes != dflt.l1Bytes ||
         r.victimEntries != dflt.victimEntries || r.victimInserts ||
         r.victimFullAborts) {
@@ -259,11 +255,6 @@ rowText(const GoldenRow &r)
         text.resize(text.size() - 2);
         std::snprintf(buf, sizeof buf, ", %d", r.cpus);
         text += buf;
-        if (r.seed != dflt.seed || r.preemptEvery != dflt.preemptEvery) {
-            std::snprintf(buf, sizeof buf, ", %llu",
-                          static_cast<unsigned long long>(r.seed));
-            text += buf;
-        }
         if (r.preemptEvery != dflt.preemptEvery) {
             std::snprintf(buf, sizeof buf, ", %llu",
                           static_cast<unsigned long long>(r.preemptEvery));

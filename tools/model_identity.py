@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two tlrsim binaries simulate exactly the same machines.
 
-    python3 tools/model_identity.py OLD_TLRSIM NEW_TLRSIM [--jobs N]
+    python3 tools/model_identity.py OLD_TLRSIM NEW_TLRSIM
 
 Runs every configuration of two sets on both binaries and compares, per
 configuration, the SHA-256 of the --trace-raw file, the --stats-json
@@ -42,6 +42,8 @@ PREEMPTED_WORKLOADS = (
 )
 PANIC_LOCATION = re.compile(r"^(\s*at ).*:\d+$", re.MULTILINE)
 RUN_LIMIT_S = 300
+# Configurations run at once.
+JOBS = min(4, os.cpu_count() or 1)
 
 
 def workloads(binary):
@@ -122,11 +124,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", help="tlrsim binary of the reference build")
     ap.add_argument("new", help="tlrsim binary of the build under test")
-    ap.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1),
-                    help="configurations run at once (default: up to 4)")
     args = ap.parse_args()
-    if args.jobs < 1:
-        ap.error("--jobs must be at least 1")
 
     names = workloads(args.new)
     if workloads(args.old) != names:
@@ -136,7 +134,7 @@ def main():
     tmp = tempfile.mkdtemp(prefix="model_identity_")
     differing = 0
     try:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+        with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
             jobs = [pool.submit(compare, args.old, args.new, f, tmp)
                     for f in todo]
             for flags, job in zip(todo, jobs):
