@@ -21,6 +21,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,8 +140,8 @@ printSchemeGrid(const std::string &title, const std::string &prefix,
 
 /**
  * One-line latency/contention digest per config, printed when
- * the runs carried metrics (TLR_METRICS=1 makes runScheme() attach a
- * MetricsCollector). Silent otherwise, so default bench output is
+ * the runs carried metrics (TLR_METRICS=1 makes runWorkload() attach
+ * a MetricsCollector). Silent otherwise, so default bench output is
  * unchanged.
  */
 inline void
@@ -180,37 +181,19 @@ maybePrintMetricsTable()
 }
 
 /**
- * Per-config causal-conflict reports, printed when the runs carried
- * the explainer (TLR_EXPLAIN=1 makes runScheme() attach it; bench
- * binaries that build MachineParams by hand set mp.explain =
- * envExplain() themselves). Silent otherwise.
+ * Per-config text reports, printed when the runs carried them:
+ * causal-conflict reports under TLR_EXPLAIN=1, epoch-timeline digests
+ * under TLR_TIMELINE=N (runWorkload() attaches the listener). Silent
+ * otherwise.
  */
 inline void
-maybePrintExplainReports()
+maybePrintReports(std::shared_ptr<const std::string> RunStats::*report,
+                  const char *hook)
 {
-    for (const auto &[key, r] : results()) {
-        if (!r.explainReport)
-            continue;
-        std::printf("\n--- %s (TLR_EXPLAIN) ---\n%s", key.c_str(),
-                    r.explainReport->c_str());
-    }
-}
-
-/**
- * Per-config epoch-timeline digests, printed when the runs carried the
- * timeline (TLR_TIMELINE=N makes runScheme() attach it with N-cycle
- * epochs; bench binaries that build MachineParams by hand set
- * mp.timelineEpoch = envTimelineEpoch() themselves). Silent otherwise.
- */
-inline void
-maybePrintTimelineReports()
-{
-    for (const auto &[key, r] : results()) {
-        if (!r.timelineReport)
-            continue;
-        std::printf("\n--- %s (TLR_TIMELINE) ---\n%s", key.c_str(),
-                    r.timelineReport->c_str());
-    }
+    for (const auto &[key, r] : results())
+        if (r.*report)
+            std::printf("\n--- %s (%s) ---\n%s", key.c_str(), hook,
+                        (r.*report)->c_str());
 }
 
 /**
@@ -277,8 +260,8 @@ benchMain(int argc, char **argv, const std::function<void()> &register_fn,
         results().emplace(sweepTasks()[i].key, std::move(res[i].stats));
     print_fn();
     maybePrintMetricsTable();
-    maybePrintExplainReports();
-    maybePrintTimelineReports();
+    maybePrintReports(&RunStats::explainReport, "TLR_EXPLAIN");
+    maybePrintReports(&RunStats::timelineReport, "TLR_TIMELINE");
     maybePrintReportLedgerNote();
     return 0;
 }

@@ -82,9 +82,7 @@ runOne(const Mix &m, double theta, Scheme s)
     mp.numCpus = kProcs;
     mp.spec = schemeSpecConfig(s);
     mp.collectMetrics = true; // the abort profile is the product here
-    mp.explain = envExplain();
-    mp.timelineEpoch = envTimelineEpoch();
-    return runWorkload(mp, m.make(p));
+    return runWorkload(mp, m.make(p), s);
 }
 
 void

@@ -40,8 +40,6 @@ runVariant(const std::string &name)
     } else {
         mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
     }
-    mp.explain = envExplain();
-    mp.timelineEpoch = envTimelineEpoch();
     return runWorkload(mp, makeReverseWriters(2, kIters * envScale()));
 }
 

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 
-#include "harness/system.hh"
 #include "workloads/micro.hh"
 
 using namespace tlr;
@@ -40,27 +39,14 @@ runOne(Scheme s, Tick quantum)
     MachineParams mp;
     mp.numCpus = kProcs;
     mp.spec = schemeSpecConfig(s);
-    mp.maxTicks = 2'000'000'000ull;
-    System sys(mp);
-    Workload wl = makeSingleCounter(p);
-    installWorkload(sys, wl);
     if (quantum > 0) {
         // Bound the suspended fraction (at most half of one core of
         // eight off-cpu at a time) while preemptions keep landing
         // throughout the run.
-        Tick period = std::max<Tick>(5000, 2 * quantum);
-        for (int k = 1; k <= 400; ++k)
-            sys.preemptCore(k % kProcs, static_cast<Tick>(k) * period,
-                            quantum);
+        mp.preemptEvery = std::max<Tick>(5000, 2 * quantum);
+        mp.preemptQuantum = quantum;
     }
-    RunStats r;
-    r.completed = sys.run();
-    r.valid = wl.validate ? wl.validate(sys) : true;
-    r.cycles = sys.completionTick();
-    r.commits = sys.stats().sum("spec", "commits");
-    r.restarts = sys.stats().sum("spec", "restarts");
-    r.fallbacks = sys.stats().sum("spec", "fallbacks");
-    return r;
+    return runWorkload(mp, makeSingleCounter(p), s);
 }
 
 std::string

@@ -64,12 +64,9 @@ main()
         mp.numCpus = cpus;
         mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
         System sys(mp);
-        Workload wl = makeRotatedBlocks(cpus, 64);
-        installWorkload(sys, wl);
-        bool done = sys.run();
+        RunStats r = simulate(sys, makeRotatedBlocks(cpus, 64));
         std::printf("  completed=%s valid=%s; per-cpu commits:",
-                    done ? "yes" : "NO",
-                    wl.validate(sys) ? "yes" : "NO");
+                    r.completed ? "yes" : "NO", r.valid ? "yes" : "NO");
         for (int c = 0; c < cpus; ++c)
             std::printf(" %llu",
                         static_cast<unsigned long long>(sys.stats().get(

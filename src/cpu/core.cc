@@ -177,10 +177,6 @@ Core::issueMem(const Instruction &inst)
     op.pc = pc_;
     op.gen = gen_;
 
-    DTRACE(eq_.now(), "Core", "cpu%d pc=%d %s addr=%#llx data=%llu", id_,
-           pc_, disassemble(inst).c_str(),
-           static_cast<unsigned long long>(addr),
-           static_cast<unsigned long long>(op.data));
     state_ = State::WaitMem;
     waitStart_ = eq_.now();
     waitAddr_ = addr;
@@ -196,8 +192,6 @@ Core::memResponse(const MemResponse &resp)
 {
     if (resp.gen != gen_ || state_ != State::WaitMem)
         return; // stale: this wait was squashed by a restart
-    DTRACE(eq_.now(), "Core", "cpu%d pc=%d resp value=%llu", id_, pc_,
-           static_cast<unsigned long long>(resp.value));
     accountStall(eq_.now() - waitStart_, waitAddr_);
     if (pendingIsLoad_ || pendingIsSc_)
         setReg(pendingRd_, resp.value);

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "report/bundle.hh"
 #include "sim/logging.hh"
 
 namespace tlr
@@ -24,70 +23,68 @@ specSchemeName(const SpecConfig &spec)
     return schemeName(spec.enableSle ? Scheme::BaseSle : Scheme::Base);
 }
 
-/** TLR_REPORT hook: append a run bundle for this run to the ledger
- *  directory named by the environment, mirroring what `tlrsim
- *  --report-dir` records. Lives here so every harness entry point —
- *  bench binaries, figure generators, exp_* experiments — gets flight
- *  reports without growing its own flag. The bundle is filed under
- *  @p scheme. Failures warn and continue: telemetry must never kill a
- *  run. */
-void
-maybeWriteEnvBundle(const MachineParams &mp, const Workload &wl,
-                    const char *scheme, System &sys, const RunStats &r)
+/** True when environment variable @p name is set and not "0". */
+bool
+envFlag(const char *name)
 {
-    const char *dir = std::getenv("TLR_REPORT");
-    if (!dir || !*dir)
-        return;
+    const char *s = std::getenv(name);
+    return s && *s && std::string(s) != "0";
+}
 
-    BundleMeta bm;
-    bm.workload = wl.name;
-    bm.scheme = scheme;
-    bm.protocol =
-        mp.protocol == Protocol::Directory ? "directory" : "broadcast";
-    bm.cpus = mp.numCpus;
-    bm.seed = mp.seed;
-    bm.wbLines = mp.spec.writeBufferLines;
-    bm.victimEntries = mp.l1.victimEntries;
-    bm.yieldTimeout = mp.l1.yieldTimeout;
-    bm.maxTicks = mp.maxTicks;
-    bm.timelineEpoch = mp.timelineEpoch;
-    bm.metrics = mp.collectMetrics;
-    bm.explain = mp.explain;
-    bm.checkInvariants = mp.trace.checkInvariants;
-    bm.completed = r.completed;
-    bm.valid = r.valid;
-    bm.cycles = r.cycles;
-    bm.invariantViolations = r.invariantViolations;
+/** Epoch length from the TLR_TIMELINE environment variable (cycles;
+ *  0 = off, the default). */
+Tick
+envTimelineEpoch()
+{
+    const char *s = std::getenv("TLR_TIMELINE");
+    if (!s)
+        return 0;
+    long long v = std::atoll(s);
+    return v > 0 ? static_cast<Tick>(v) : 0;
+}
 
+/** Run @p wl on @p mp with the TLR_* hooks applied: TLR_METRICS,
+ *  TLR_EXPLAIN and TLR_TIMELINE add their listeners, and TLR_REPORT
+ *  appends a run bundle filed under @p scheme, mirroring what `tlrsim
+ *  --report-dir` records. Every harness entry point — bench binaries,
+ *  figure generators, exp_* experiments — comes through here, so each
+ *  gets the hooks without growing its own flag. A bundle that cannot
+ *  be written warns and continues: telemetry must never kill a run. */
+RunStats
+runLabelled(MachineParams mp, const Workload &wl, const char *scheme)
+{
+    mp.collectMetrics = mp.collectMetrics || envFlag("TLR_METRICS");
+    mp.explain = mp.explain || envFlag("TLR_EXPLAIN");
+    if (mp.timelineEpoch == 0)
+        mp.timelineEpoch = envTimelineEpoch();
+    System sys(mp);
+    RunStats r = simulate(sys, wl);
+
+    const std::string dir = envReportDir();
+    if (dir.empty())
+        return r;
     BundleArtifacts art;
-    std::string extra;
-    if (sys.metrics())
-        extra = "  \"metrics\": " + sys.metrics()->snapshot().json();
-    if (sys.timeline()) {
-        if (!extra.empty())
-            extra += ",\n";
-        extra += "  \"timeline\": " + sys.timeline()->json();
+    art.statsJson = statsDocument(sys);
+    if (sys.timeline())
         art.timelineCsv = sys.timeline()->csv();
-    }
-    art.statsJson = sys.stats().dumpJson(extra);
-    if (sys.explainer())
-        art.explainText = sys.explainer()->report(ExplainMode::Txn);
-
+    if (r.explainReport)
+        art.explainText = *r.explainReport;
     std::string err;
-    std::string entry = writeRunBundle(dir, bm, art, err);
+    std::string entry =
+        writeRunBundle(dir, bundleMeta(mp, wl.name, scheme, r), art, err);
     if (entry.empty())
         std::fprintf(stderr, "TLR_REPORT: %s (continuing)\n",
                      err.c_str());
     else
         std::fprintf(stderr, "report: wrote bundle %s\n", entry.c_str());
+    return r;
 }
 
-/** runWorkload, filing a TLR_REPORT bundle under @p scheme. */
+} // namespace
+
 RunStats
-runLabelled(const MachineParams &mp, const Workload &wl,
-            const char *scheme)
+simulate(System &sys, const Workload &wl)
 {
-    System sys(mp);
     installWorkload(sys, wl);
     RunStats r;
     r.completed = sys.run();
@@ -106,6 +103,7 @@ runLabelled(const MachineParams &mp, const Workload &wl,
     r.probeMsgs = s.get("net", "probeMsgs");
     r.l1Misses = s.sum("l1_", "misses");
     r.writeBufferAborts = s.sum("spec", "abort.write-buffer-full");
+    r.preemptions = s.sum("core", "preemptions");
     r.lockCycles = s.sum("core", "lockCycles");
     r.dataStallCycles = s.sum("core", "dataStallCycles");
     r.busyCycles = s.sum("core", "busyCycles");
@@ -121,16 +119,61 @@ runLabelled(const MachineParams &mp, const Workload &wl,
     if (sys.timeline())
         r.timelineReport = std::make_shared<std::string>(
             sys.timeline()->report());
-    maybeWriteEnvBundle(mp, wl, scheme, sys, r);
     return r;
 }
 
-} // namespace
+std::string
+statsDocument(System &sys)
+{
+    std::string extra;
+    if (sys.metrics())
+        extra = "  \"metrics\": " + sys.metrics()->snapshot().json();
+    if (sys.timeline()) {
+        if (!extra.empty())
+            extra += ",\n";
+        extra += "  \"timeline\": " + sys.timeline()->json();
+    }
+    return sys.stats().dumpJson(extra);
+}
+
+BundleMeta
+bundleMeta(const MachineParams &mp, const std::string &workload,
+           const std::string &scheme, const RunStats &r)
+{
+    BundleMeta bm;
+    bm.workload = workload;
+    bm.scheme = scheme;
+    bm.protocol =
+        mp.protocol == Protocol::Directory ? "directory" : "broadcast";
+    bm.cpus = mp.numCpus;
+    bm.seed = mp.seed;
+    bm.wbLines = mp.spec.writeBufferLines;
+    bm.victimEntries = mp.l1.victimEntries;
+    bm.yieldTimeout = mp.l1.yieldTimeout;
+    bm.preemptEvery = mp.preemptEvery;
+    bm.preemptQuantum = mp.preemptQuantum;
+    bm.maxTicks = mp.maxTicks;
+    bm.timelineEpoch = mp.timelineEpoch;
+    bm.metrics = mp.collectMetrics;
+    bm.explain = mp.explain;
+    bm.checkInvariants = mp.trace.checkInvariants;
+    bm.completed = r.completed;
+    bm.valid = r.valid;
+    bm.cycles = r.cycles;
+    bm.invariantViolations = r.invariantViolations;
+    return bm;
+}
 
 RunStats
 runWorkload(const MachineParams &mp, const Workload &wl)
 {
     return runLabelled(mp, wl, specSchemeName(mp.spec));
+}
+
+RunStats
+runWorkload(const MachineParams &mp, const Workload &wl, Scheme scheme)
+{
+    return runLabelled(mp, wl, schemeName(scheme));
 }
 
 RunStats
@@ -140,10 +183,7 @@ runScheme(Scheme scheme, int num_cpus, const Workload &wl, Tick max_ticks)
     mp.numCpus = num_cpus;
     mp.spec = schemeSpecConfig(scheme);
     mp.maxTicks = max_ticks;
-    mp.collectMetrics = envMetrics();
-    mp.explain = envExplain();
-    mp.timelineEpoch = envTimelineEpoch();
-    return runLabelled(mp, wl, schemeName(scheme));
+    return runWorkload(mp, wl, scheme);
 }
 
 std::uint64_t
@@ -154,30 +194,6 @@ envScale()
         return 1;
     long v = std::atol(s);
     return v > 0 ? static_cast<std::uint64_t>(v) : 1;
-}
-
-bool
-envMetrics()
-{
-    const char *s = std::getenv("TLR_METRICS");
-    return s && *s && std::string(s) != "0";
-}
-
-bool
-envExplain()
-{
-    const char *s = std::getenv("TLR_EXPLAIN");
-    return s && *s && std::string(s) != "0";
-}
-
-Tick
-envTimelineEpoch()
-{
-    const char *s = std::getenv("TLR_TIMELINE");
-    if (!s)
-        return 0;
-    long long v = std::atoll(s);
-    return v > 0 ? static_cast<Tick>(v) : 0;
 }
 
 std::string

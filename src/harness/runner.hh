@@ -1,7 +1,9 @@
 /**
  * @file
- * One-shot experiment runner: builds a system, installs a workload,
- * runs it to completion and collects the metrics the paper reports.
+ * The one run path: simulate() installs a workload on a built system,
+ * runs it to completion and collects the metrics the paper reports;
+ * runWorkload() builds that system, applies the TLR_* environment
+ * hooks and files the TLR_REPORT bundle.
  */
 
 #ifndef TLR_HARNESS_RUNNER_HH
@@ -12,6 +14,7 @@
 
 #include "harness/scheme.hh"
 #include "harness/system.hh"
+#include "report/bundle.hh"
 #include "workloads/workload.hh"
 
 namespace tlr
@@ -35,6 +38,7 @@ struct RunStats
     std::uint64_t probeMsgs = 0;
     std::uint64_t l1Misses = 0;
     std::uint64_t writeBufferAborts = 0;
+    std::uint64_t preemptions = 0; ///< OS preemptions of a running core
 
     /** @{ observability (populated when tracing/checking enabled) */
     std::uint64_t traceRecords = 0;        ///< events emitted by the sink
@@ -71,33 +75,43 @@ struct RunStats
     }
 };
 
-/** Run @p wl on a machine configured by @p mp. A TLR_REPORT bundle is
- *  filed under the scheme label that @p mp's spec flags name. */
+/** Install @p wl on @p sys, run it until every core halts or the
+ *  watchdog expires, validate it and fill every RunStats field.
+ *  runWorkload() and tlrsim run every simulation through it. */
+RunStats simulate(System &sys, const Workload &wl);
+
+/** The --stats-json document of a finished run: every counter, plus
+ *  the "metrics" and "timeline" sections when @p sys carries those
+ *  listeners. */
+std::string statsDocument(System &sys);
+
+/** The run-bundle manifest fields of run @p r of @p workload on
+ *  @p mp, filed under @p scheme. Workload sizes (ops, theta, keys,
+ *  partitions) and the host's jobs are left to the caller. */
+BundleMeta bundleMeta(const MachineParams &mp, const std::string &workload,
+                      const std::string &scheme, const RunStats &r);
+
+/** Run @p wl on a machine configured by @p mp. TLR_METRICS,
+ *  TLR_EXPLAIN and TLR_TIMELINE add their listeners, and TLR_REPORT
+ *  files a bundle under the scheme label that @p mp's spec flags
+ *  name. */
 RunStats runWorkload(const MachineParams &mp, const Workload &wl);
 
-/** Convenience: configure the machine for @p scheme and run. A
- *  TLR_REPORT bundle is filed under schemeName(@p scheme). */
+/** runWorkload, filing the TLR_REPORT bundle under
+ *  schemeName(@p scheme): MCS has BASE's spec flags, so only the
+ *  caller can name it. */
+RunStats runWorkload(const MachineParams &mp, const Workload &wl,
+                     Scheme scheme);
+
+/** Convenience: configure the machine for @p scheme and run it as
+ *  runWorkload does, filing a TLR_REPORT bundle under
+ *  schemeName(@p scheme). */
 RunStats runScheme(Scheme scheme, int num_cpus, const Workload &wl,
                    Tick max_ticks = 2'000'000'000ull);
 
 /** Workload-scale multiplier from the TLR_SCALE environment variable
  *  (default 1): lets users regenerate paper-sized runs. */
 std::uint64_t envScale();
-
-/** True when the TLR_METRICS environment variable is set non-zero:
- *  runScheme() then attaches a MetricsCollector to every run so bench
- *  and figure binaries print latency/contention digests. */
-bool envMetrics();
-
-/** True when TLR_EXPLAIN is set non-zero: runScheme() then attaches
- *  the causal-conflict explainer and RunStats::explainReport carries
- *  the rendered top-K report (bench binaries print it). */
-bool envExplain();
-
-/** Epoch length from the TLR_TIMELINE environment variable (cycles;
- *  0 = off, the default): runScheme() then attaches an EpochTimeline
- *  and RunStats::timelineReport carries its digest. */
-Tick envTimelineEpoch();
 
 /** Ledger directory from the TLR_REPORT environment variable ("" =
  *  off, the default): runWorkload() then appends a run bundle (see

@@ -25,7 +25,7 @@ System::System(const MachineParams &params)
       mem_(eq_, stats_, *net_, store_, params.mem)
 {
     net_->setMemory(&mem_);
-    trace_.configure(params.trace.ringCapacity, params.trace.echoText);
+    trace_.configure(params.trace.ringCapacity);
     if (params.trace.checkInvariants) {
         checkers_ = std::make_unique<InvariantRegistry>(
             stats_, &trace_, params.trace, params.spec.deferUntimestamped,
@@ -83,14 +83,38 @@ System::setLockClassifier(std::function<bool(Addr)> f)
 }
 
 void
+System::deschedule(int cpu, Tick duration)
+{
+    if (core(cpu).halted())
+        return;
+    engine(cpu).descheduled();
+    core(cpu).suspend(duration);
+}
+
+void
 System::preemptCore(int cpu, Tick when, Tick duration)
 {
-    eq_.schedule(when, [this, cpu, duration] {
-        if (core(cpu).halted())
-            return;
-        engine(cpu).descheduled();
-        core(cpu).suspend(duration);
-    });
+    eq_.schedule(when, [this, cpu, duration] { deschedule(cpu, duration); });
+}
+
+void
+System::schedulePreemption(Tick k)
+{
+    // Its own priority, after the tick's core steps and before every
+    // other event: where a preemption queued before the run fired.
+    const Tick when = k * params_.preemptEvery;
+    if (when >= params_.maxTicks)
+        return;
+    eq_.schedule(
+        when,
+        [this, k] {
+            if (haltedCount_ == params_.numCpus)
+                return;
+            deschedule(static_cast<int>(k % static_cast<Tick>(numCpus())),
+                       params_.preemptQuantum);
+            schedulePreemption(k + 1);
+        },
+        EventPrio::Preempt);
 }
 
 bool
@@ -98,6 +122,8 @@ System::run()
 {
     for (auto &c : cores_)
         c->start(0);
+    if (params_.preemptEvery > 0)
+        schedulePreemption(1);
     bool drained = eq_.run(params_.maxTicks);
     trace_.finish(eq_.now());
     if (haltedCount_ == params_.numCpus)

@@ -68,7 +68,11 @@ struct MachineParams
     Tick timelineEpoch = 0;
     std::uint64_t seed = 12345;
     Tick maxTicks = 2'000'000'000ull; ///< watchdog for livelock studies
-
+    /** OS preemption (paper Section 4): at tick k * preemptEvery,
+     *  k = 1, 2, ..., core k mod numCpus stops for preemptQuantum
+     *  cycles, until every core has halted. 0 (default) = off. */
+    Tick preemptEvery = 0;
+    Tick preemptQuantum = 10000;
 };
 
 class System
@@ -120,10 +124,18 @@ class System
      *  for @p duration cycles. An active transaction aborts and its
      *  lock stays free (paper Section 4, non-blocking behavior); a
      *  BASE thread holding a real lock keeps it and blocks everyone
-     *  else — the contrast the paper's stability claim is about. */
+     *  else — the contrast the paper's stability claim is about.
+     *  MachineParams::preemptEvery covers the periodic schedule; this
+     *  is for bounded or irregular ones. */
     void preemptCore(int cpu, Tick when, Tick duration);
 
   private:
+    /** Stop core @p cpu for @p duration cycles unless it has halted. */
+    void deschedule(int cpu, Tick duration);
+    /** Schedule the @p k-th periodic preemption; each schedules the
+     *  next until every core has halted. */
+    void schedulePreemption(Tick k);
+
     MachineParams params_;
     EventQueue eq_;
     StatSet stats_;

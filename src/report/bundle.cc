@@ -153,9 +153,9 @@ renderManifest(const BundleMeta &meta, const BundleArtifacts &art)
                  "\"yield_timeout\": %llu,\n",
                  meta.wbLines, meta.victimEntries,
                  static_cast<unsigned long long>(meta.yieldTimeout));
-    os << strfmt("    \"preempt_every\": %d, \"preempt_quantum\": %llu, "
+    os << strfmt("    \"preempt_every\": %llu, \"preempt_quantum\": %llu, "
                  "\"max_ticks\": %llu,\n",
-                 meta.preemptEvery,
+                 static_cast<unsigned long long>(meta.preemptEvery),
                  static_cast<unsigned long long>(meta.preemptQuantum),
                  static_cast<unsigned long long>(meta.maxTicks));
     os << strfmt("    \"timeline_epoch\": %llu, \"metrics\": %s, "

@@ -64,7 +64,7 @@ struct BundleMeta
     unsigned wbLines = 0;
     unsigned victimEntries = 0;
     Tick yieldTimeout = 0;
-    int preemptEvery = 0;
+    Tick preemptEvery = 0;
     Tick preemptQuantum = 0;
     Tick maxTicks = 0;
     Tick timelineEpoch = 0;

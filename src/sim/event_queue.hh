@@ -44,8 +44,8 @@ enum class EventPrio : int
     Snoop = 1,            ///< ordered address transactions
     DataResponse = 2,     ///< data network deliveries
     CoreTick = 3,         ///< processor pipeline steps
-    Default = 4,
-    Stats = 5,
+    Preempt = 4,          ///< MachineParams' periodic OS preemptions
+    Default = 5,
 };
 
 /**
@@ -167,7 +167,7 @@ class EventQueue
 
   private:
     static constexpr int numPrios = 6;
-    static_assert(static_cast<int>(EventPrio::Stats) == numPrios - 1,
+    static_assert(static_cast<int>(EventPrio::Default) == numPrios - 1,
                   "EventPrio values must stay dense: the wheel keeps "
                   "one FIFO list per priority");
     static_assert((wheelSlots & (wheelSlots - 1)) == 0,

@@ -6,8 +6,6 @@
 namespace tlr
 {
 
-bool Trace::enabled = false;
-
 std::string
 strfmt(const char *fmt, ...)
 {
@@ -54,12 +52,6 @@ void
 informImpl(const std::string &msg)
 {
     std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-Trace::print(long long tick, const char *component, const std::string &msg)
-{
-    std::fprintf(stderr, "%10lld: %-10s: %s\n", tick, component, msg.c_str());
 }
 
 } // namespace tlr

@@ -3,15 +3,14 @@
  * The structured trace sink.
  *
  * Components emit fixed-size binary TraceRecords through one sink per
- * simulated system. The sink fans each record out to (a) an optional
- * ring buffer (flight recorder), (b) registered online listeners
- * (invariant checkers, the transaction lifecycle tracker) and (c) an
- * optional human-readable text echo on stderr.
+ * simulated system. The sink fans each record out to an optional ring
+ * buffer (flight recorder) and to registered online listeners
+ * (invariant checkers, the transaction lifecycle tracker).
  *
  * Zero-overhead-when-off contract: components guard every emit with
  * TLR_TRACE_ARMED(sink), a null check plus one boolean load, so a
- * system with no ring, no listeners and no echo pays a predicted
- * branch per would-be event and nothing else. The sink never schedules
+ * system with no ring and no listeners pays a predicted branch per
+ * would-be event and nothing else. The sink never schedules
  * events and never mutates simulation state, so enabling it cannot
  * change simulated cycle counts.
  */
@@ -28,7 +27,7 @@
 namespace tlr
 {
 
-/** One-line text rendering of a record (echo mode, ring dumps). */
+/** One-line text rendering of a record (ring dumps, tlrquery). */
 std::string formatRecord(const TraceRecord &r);
 
 /** Online consumer of the event stream (checker, lifecycle tracker). */
@@ -46,8 +45,6 @@ struct TraceParams
 {
     /** Flight-recorder depth in records; 0 disables the ring. */
     size_t ringCapacity = 0;
-    /** Echo each record as text on stderr (tlrsim --trace). */
-    bool echoText = false;
     /** Attach the online invariant checkers (System does this). */
     bool checkInvariants = false;
     /** Record violations in stats but keep running instead of
@@ -64,10 +61,9 @@ class TraceSink
     TraceSink() : ring_(0) {}
 
     void
-    configure(size_t ring_capacity, bool echo_text)
+    configure(size_t ring_capacity)
     {
         ring_ = TraceRing(ring_capacity);
-        echo_ = echo_text;
         rearm();
     }
 
@@ -98,8 +94,6 @@ class TraceSink
         r.a3 = a3;
         r.seq = emitted_++;
         ring_.push(r);
-        if (echo_)
-            std::fprintf(stderr, "%s\n", formatRecord(r).c_str());
         for (TraceListener *l : listeners_)
             l->onRecord(r);
     }
@@ -123,11 +117,10 @@ class TraceSink
     void
     rearm()
     {
-        armed_ = echo_ || ring_.capacity() > 0 || !listeners_.empty();
+        armed_ = ring_.capacity() > 0 || !listeners_.empty();
     }
 
     bool armed_ = false;
-    bool echo_ = false;
     TraceRing ring_;
     std::vector<TraceListener *> listeners_;
     std::uint64_t emitted_ = 0;

@@ -42,7 +42,7 @@
 #include "metrics/collector.hh"
 #include "timeline/timeline.hh"
 #include "trace/lifecycle.hh"
-#include "trace/sink.hh"
+#include "trace_digest.hh"
 #include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
@@ -50,39 +50,6 @@ using namespace tlr;
 
 namespace
 {
-
-/** FNV-1a (64-bit) over every field of every record, in arrival
- *  order. */
-struct DigestListener : TraceListener
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    std::uint64_t records = 0;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    onRecord(const TraceRecord &r) override
-    {
-        ++records;
-        mix(r.tick);
-        mix(static_cast<std::uint64_t>(r.comp));
-        mix(static_cast<std::uint64_t>(r.kind));
-        mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.cpu)));
-        mix(r.addr);
-        mix(r.a0);
-        mix(r.a1);
-        mix(r.a2);
-        mix(r.a3);
-        mix(r.seq);
-    }
-};
 
 struct GoldenRow
 {

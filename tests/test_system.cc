@@ -10,6 +10,7 @@
 
 #include <tuple>
 
+#include "harness/runner.hh"
 #include "harness/scheme.hh"
 #include "harness/system.hh"
 #include "workloads/micro.hh"
@@ -20,27 +21,7 @@ using namespace tlr;
 namespace
 {
 
-MachineParams
-makeParams(Scheme scheme, int cpus)
-{
-    MachineParams mp;
-    mp.numCpus = cpus;
-    mp.spec = schemeSpecConfig(scheme);
-    mp.maxTicks = 200'000'000ull;
-    return mp;
-}
-
-struct RunResult
-{
-    bool completed;
-    bool valid;
-    Tick cycles;
-    std::uint64_t commits;
-    std::uint64_t restarts;
-    std::uint64_t fallbacks;
-};
-
-RunResult
+RunStats
 runMicro(Scheme scheme, int cpus,
          Workload (*make)(const MicroParams &), std::uint64_t total_ops)
 {
@@ -48,18 +29,12 @@ runMicro(Scheme scheme, int cpus,
     p.numCpus = cpus;
     p.lockKind = schemeLockKind(scheme);
     p.totalOps = total_ops;
-    Workload wl = make(p);
-
-    System sys(makeParams(scheme, cpus));
-    installWorkload(sys, wl);
-    RunResult r;
-    r.completed = sys.run();
-    r.valid = wl.validate ? wl.validate(sys) : true;
-    r.cycles = sys.completionTick();
-    r.commits = sys.stats().sum("spec", "commits");
-    r.restarts = sys.stats().sum("spec", "restarts");
-    r.fallbacks = sys.stats().sum("spec", "fallbacks");
-    return r;
+    MachineParams mp;
+    mp.numCpus = cpus;
+    mp.spec = schemeSpecConfig(scheme);
+    mp.maxTicks = 200'000'000ull;
+    System sys(mp);
+    return simulate(sys, make(p));
 }
 
 } // namespace
@@ -75,14 +50,14 @@ class SingleCpu : public ::testing::TestWithParam<Scheme>
 
 TEST_P(SingleCpu, SingleCounterCorrect)
 {
-    RunResult r = runMicro(GetParam(), 1, makeSingleCounter, 64);
+    RunStats r = runMicro(GetParam(), 1, makeSingleCounter, 64);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.valid);
 }
 
 TEST_P(SingleCpu, DoublyLinkedListCorrect)
 {
-    RunResult r = runMicro(GetParam(), 1, makeDoublyLinkedList, 32);
+    RunStats r = runMicro(GetParam(), 1, makeDoublyLinkedList, 32);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.valid);
 }
@@ -114,7 +89,7 @@ class MultiCpu
 TEST_P(MultiCpu, MultipleCounterCorrect)
 {
     auto [scheme, cpus] = GetParam();
-    RunResult r = runMicro(scheme, cpus, makeMultipleCounter, 256);
+    RunStats r = runMicro(scheme, cpus, makeMultipleCounter, 256);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.valid);
 }
@@ -122,7 +97,7 @@ TEST_P(MultiCpu, MultipleCounterCorrect)
 TEST_P(MultiCpu, SingleCounterCorrect)
 {
     auto [scheme, cpus] = GetParam();
-    RunResult r = runMicro(scheme, cpus, makeSingleCounter, 256);
+    RunStats r = runMicro(scheme, cpus, makeSingleCounter, 256);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.valid);
 }
@@ -130,7 +105,7 @@ TEST_P(MultiCpu, SingleCounterCorrect)
 TEST_P(MultiCpu, DoublyLinkedListCorrect)
 {
     auto [scheme, cpus] = GetParam();
-    RunResult r = runMicro(scheme, cpus, makeDoublyLinkedList, 128);
+    RunStats r = runMicro(scheme, cpus, makeDoublyLinkedList, 128);
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.valid);
 }
@@ -161,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Mechanism, SleElidesUncontendedLocks)
 {
-    RunResult r = runMicro(Scheme::BaseSle, 4, makeMultipleCounter, 256);
+    RunStats r = runMicro(Scheme::BaseSle, 4, makeMultipleCounter, 256);
     ASSERT_TRUE(r.completed);
     ASSERT_TRUE(r.valid);
     // Disjoint data: nearly every critical section commits elided.
@@ -170,7 +145,7 @@ TEST(Mechanism, SleElidesUncontendedLocks)
 
 TEST(Mechanism, TlrCommitsUnderHighConflict)
 {
-    RunResult r = runMicro(Scheme::BaseSleTlr, 8, makeSingleCounter, 256);
+    RunStats r = runMicro(Scheme::BaseSleTlr, 8, makeSingleCounter, 256);
     ASSERT_TRUE(r.completed);
     ASSERT_TRUE(r.valid);
     // TLR must keep executing lock-free even with full data conflicts.
@@ -179,7 +154,7 @@ TEST(Mechanism, TlrCommitsUnderHighConflict)
 
 TEST(Mechanism, BaseNeverSpeculates)
 {
-    RunResult r = runMicro(Scheme::Base, 4, makeSingleCounter, 128);
+    RunStats r = runMicro(Scheme::Base, 4, makeSingleCounter, 128);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.commits, 0u);
     EXPECT_EQ(r.restarts, 0u);
@@ -187,8 +162,8 @@ TEST(Mechanism, BaseNeverSpeculates)
 
 TEST(Mechanism, TlrOutperformsBaseUnderContention)
 {
-    RunResult base = runMicro(Scheme::Base, 8, makeSingleCounter, 512);
-    RunResult tlr =
+    RunStats base = runMicro(Scheme::Base, 8, makeSingleCounter, 512);
+    RunStats tlr =
         runMicro(Scheme::BaseSleTlr, 8, makeSingleCounter, 512);
     ASSERT_TRUE(base.completed && base.valid);
     ASSERT_TRUE(tlr.completed && tlr.valid);

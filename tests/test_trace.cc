@@ -64,7 +64,7 @@ struct CheckerFixture
         : reg(stats, &sink, makeParams(keep_going, cycle_stuck_ticks),
               /*defer_untimestamped=*/true, /*yield_timeout=*/100)
     {
-        sink.configure(/*ring_capacity=*/32, /*echo_text=*/false);
+        sink.configure(/*ring_capacity=*/32);
         sink.addListener(&reg);
     }
 
@@ -128,11 +128,11 @@ TEST(TraceSink, ArmedOnlyWithConsumers)
     TraceSink *unwired = nullptr; // component before setTrace()
     EXPECT_FALSE(TLR_TRACE_ARMED(unwired));
 
-    sink.configure(8, false);
+    sink.configure(8);
     EXPECT_TRUE(sink.armed());
     EXPECT_TRUE(TLR_TRACE_ARMED(&sink));
 
-    sink.configure(0, false);
+    sink.configure(0);
     EXPECT_FALSE(sink.armed());
 
     TxnLifecycle lc;
@@ -143,7 +143,7 @@ TEST(TraceSink, ArmedOnlyWithConsumers)
 TEST(TraceSink, StampsMonotonicSequenceNumbers)
 {
     TraceSink sink;
-    sink.configure(4, false);
+    sink.configure(4);
     for (int i = 0; i < 3; ++i)
         sink.emit(10, TraceComp::Spec, TraceEvent::TxnCommit, 0, 0);
     EXPECT_EQ(sink.emitted(), 3u);

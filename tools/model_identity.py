@@ -3,17 +3,22 @@
 
     python3 tools/model_identity.py OLD_TLRSIM NEW_TLRSIM
 
-Runs every configuration of two sets on both binaries and compares, per
-configuration, the SHA-256 of the --trace-raw file, the --stats-json
-dump without its "meta" object (build metadata), stdout, the exit code,
-and stderr with panic source locations masked ("at FILE:LINE" names a
-line of the checkout, not of the simulated machine).
+Runs every configuration of three sets on both binaries and compares,
+per configuration, the SHA-256 of the --trace-raw file's 32-byte header
+(its final_tick is the tick of the last event, not of the last halt)
+and of its records, the --stats-json dump without its "meta" object
+(build metadata), stdout, the exit code, and stderr with panic source
+locations masked ("at FILE:LINE" names a line of the checkout, not of
+the simulated machine).
 
 - matrix: every workload of `--list` x base/mcs/sle/tlr/tlr-strict x
   broadcast/directory x --victim=16,1 x --seed=12345,2, at 8 CPUs and
   64 ops (octree refuses mcs): 912 configurations.
 - preempted: 12 workloads x sle/tlr/tlr-strict x both protocols x
-  --seed=2,3 with --preempt-every=2000 --preempt-quantum=500: 144.
+  --seed=2,3, once with --preempt-every=2000 --preempt-quantum=500 and
+  once with --preempt-every=300 --preempt-quantum=200, where a
+  preemption that fires out of its place in a tick's event order
+  shows: 288.
 
 A refactor that claims the same simulated machine must report 0
 differing configurations; a model change differs by design. Each raw
@@ -42,6 +47,9 @@ PREEMPTED_WORKLOADS = (
 )
 PANIC_LOCATION = re.compile(r"^(\s*at ).*:\d+$", re.MULTILINE)
 RUN_LIMIT_S = 300
+# The raw trace's fixed header (magic, version, record size, record
+# count, final_tick); the records follow it.
+TRACE_HEADER_BYTES = 32
 # Configurations run at once.
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -66,14 +74,16 @@ def configs(names):
                         yield ["--workload=" + w, "--scheme=" + s,
                                "--protocol=" + p, "--victim=%d" % v,
                                "--seed=%d" % seed, "--cpus=8", "--ops=64"]
-    for w in PREEMPTED_WORKLOADS:
-        for s in ("sle", "tlr", "tlr-strict"):
-            for p in PROTOCOLS:
-                for seed in (2, 3):
-                    yield ["--workload=" + w, "--scheme=" + s,
-                           "--protocol=" + p, "--seed=%d" % seed,
-                           "--cpus=8", "--ops=64", "--preempt-every=2000",
-                           "--preempt-quantum=500"]
+    for every, quantum in ((2000, 500), (300, 200)):
+        for w in PREEMPTED_WORKLOADS:
+            for s in ("sle", "tlr", "tlr-strict"):
+                for p in PROTOCOLS:
+                    for seed in (2, 3):
+                        yield ["--workload=" + w, "--scheme=" + s,
+                               "--protocol=" + p, "--seed=%d" % seed,
+                               "--cpus=8", "--ops=64",
+                               "--preempt-every=%d" % every,
+                               "--preempt-quantum=%d" % quantum]
 
 
 def run(binary, flags, workdir):
@@ -92,12 +102,14 @@ def run(binary, flags, workdir):
     h = hashlib.sha256()
     try:
         with open(raw, "rb") as f:
+            out["trace-header"] = hashlib.sha256(
+                f.read(TRACE_HEADER_BYTES)).hexdigest()
             for chunk in iter(lambda: f.read(1 << 20), b""):
                 h.update(chunk)
-        out["trace-raw"] = h.hexdigest()
+        out["trace-records"] = h.hexdigest()
         os.remove(raw)
     except OSError:
-        out["trace-raw"] = None
+        out["trace-header"] = out["trace-records"] = None
     try:
         with open(stats) as f:
             dump = json.load(f)

@@ -6,7 +6,7 @@
  *
  *   tlrsim --workload=single-counter --scheme=tlr --cpus=16 --ops=4096
  *   tlrsim --workload=radiosity --scheme=base --stats=spec
- *   tlrsim --workload=dlist --scheme=tlr --trace 2>trace.log
+ *   tlrsim --workload=dlist --scheme=tlr --trace-raw=t.bin && tlrquery t.bin
  *
  * `--cpus` and `--scheme` accept comma-separated lists; more than one
  * combination turns the invocation into a sweep executed on `--jobs`
@@ -18,6 +18,7 @@
  * timeout (livelock).
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -65,7 +66,6 @@ struct Options
     double theta = 0.6;      // db family: Zipfian key skew
     unsigned keys = 256;     // db family: key-space size
     unsigned partitions = 4; // db family: partitions / warehouses
-    bool trace = false;
     std::string traceOut;    // Chrome-trace JSON destination
     std::string traceRaw;    // binary trace destination (tlrquery)
     std::string traceFilter; // record filter for --trace-raw
@@ -88,7 +88,7 @@ struct Options
     unsigned wbLines = 64;
     unsigned victimEntries = 16;
     Tick yieldTimeout = 1000;
-    int preemptEvery = 0;
+    Tick preemptEvery = 0;   // 0 = no OS preemption
     Tick preemptQuantum = 10000;
     bool listWorkloads = false;
 };
@@ -134,7 +134,6 @@ usage()
         "                      adds counter tracks to --trace-out\n"
         "  --bench-json=FILE   write per-config wall-clock and\n"
         "                      events/sec as JSON ('-' = stdout)\n"
-        "  --trace             emit the event trace on stderr\n"
         "  --trace-out=FILE    write per-transaction lifecycle spans as\n"
         "                      Chrome-trace JSON (Perfetto-loadable);\n"
         "                      with --explain, deferral flow arrows are\n"
@@ -293,23 +292,9 @@ buildMachineParams(const Options &o, Scheme scheme, int cpus)
     mp.maxTicks = o.maxTicks;
     mp.collectMetrics = o.metrics;
     mp.timelineEpoch = o.timelineEpoch;
+    mp.preemptEvery = o.preemptEvery;
+    mp.preemptQuantum = o.preemptQuantum;
     return mp;
-}
-
-void
-installPreemptions(System &sys, const Options &o, int cpus)
-{
-    if (o.preemptEvery <= 0)
-        return;
-    for (int k = 1;
-         static_cast<Tick>(k) * static_cast<Tick>(o.preemptEvery) <
-         o.maxTicks && k <= 100000;
-         ++k) {
-        sys.preemptCore(k % cpus,
-                        static_cast<Tick>(k) *
-                            static_cast<Tick>(o.preemptEvery),
-                        o.preemptQuantum);
-    }
 }
 
 /** One (scheme, cpus) cell of a sweep, with host-side measurements. */
@@ -383,7 +368,6 @@ int
 runSingle(const Options &o, const std::string &schemeStr, int cpus)
 {
     Scheme scheme = parseScheme(schemeStr);
-    Trace::enabled = o.trace;
     MachineParams mp = buildMachineParams(o, scheme, cpus);
 
     // A '-' sink owns stdout; the human-readable summary moves to
@@ -394,10 +378,8 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                     ? stderr
                     : stdout;
 
-    const bool wantTrace = o.trace || !o.traceOut.empty() ||
-                           o.checkInvariants;
-    mp.trace.ringCapacity = wantTrace ? o.ringCapacity : 0;
-    mp.trace.echoText = o.trace;
+    const bool wantRing = !o.traceOut.empty() || o.checkInvariants;
+    mp.trace.ringCapacity = wantRing ? o.ringCapacity : 0;
     mp.trace.checkInvariants = o.checkInvariants;
     mp.explain = o.explainOn;
 
@@ -468,52 +450,45 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
     if (o.metrics && !o.traceOut.empty())
         sys.metrics()->enableCounterTracks();
     Workload wl = buildWorkload(o, cpus, schemeLockKind(scheme));
-    installWorkload(sys, wl);
-    installPreemptions(sys, o, cpus);
 
     auto t0 = std::chrono::steady_clock::now();
-    bool completed = sys.run();
+    const RunStats r = simulate(sys, wl);
     double wallSec = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
     if (progressActive)
         std::fprintf(stderr, "\n");
-    bool valid = wl.validate ? wl.validate(sys) : true;
-    const StatSet &s = sys.stats();
 
     std::fprintf(rpt, "workload=%s scheme=%s cpus=%d ops=%llu\n",
                  wl.name.c_str(), schemeName(scheme), cpus,
                  static_cast<unsigned long long>(o.ops));
     std::fprintf(rpt, "completed=%s valid=%s cycles=%llu\n",
-                 completed ? "yes" : "NO (watchdog)",
-                 valid ? "yes" : "NO",
-                 static_cast<unsigned long long>(sys.completionTick()));
-    std::fprintf(
-        rpt,
-        "commits=%llu restarts=%llu fallbacks=%llu defers=%llu "
-        "probes=%llu busTxns=%llu\n",
-        static_cast<unsigned long long>(s.sum("spec", "commits")),
-        static_cast<unsigned long long>(s.sum("spec", "restarts")),
-        static_cast<unsigned long long>(s.sum("spec", "fallbacks")),
-        static_cast<unsigned long long>(s.sum("l1_", "defers")),
-        static_cast<unsigned long long>(s.get("net", "probeMsgs")),
-        static_cast<unsigned long long>(s.get("bus", "transactions")));
+                 r.completed ? "yes" : "NO (watchdog)",
+                 r.valid ? "yes" : "NO",
+                 static_cast<unsigned long long>(r.cycles));
+    std::fprintf(rpt,
+                 "commits=%llu restarts=%llu fallbacks=%llu defers=%llu "
+                 "probes=%llu busTxns=%llu\n",
+                 static_cast<unsigned long long>(r.commits),
+                 static_cast<unsigned long long>(r.restarts),
+                 static_cast<unsigned long long>(r.fallbacks),
+                 static_cast<unsigned long long>(r.defers),
+                 static_cast<unsigned long long>(r.probeMsgs),
+                 static_cast<unsigned long long>(r.busTransactions));
     if (o.checkInvariants)
         std::fprintf(rpt, "invariantViolations=%llu (traceRecords=%llu)\n",
-                     static_cast<unsigned long long>(
-                         s.get("trace", "violations")),
-                     static_cast<unsigned long long>(
-                         sys.traceSink().emitted()));
+                     static_cast<unsigned long long>(r.invariantViolations),
+                     static_cast<unsigned long long>(r.traceRecords));
     if (!o.statsPrefix.empty()) {
         std::fprintf(rpt, "%s",
-                     s.dump(o.statsPrefix == "all" ? "" : o.statsPrefix)
+                     sys.stats()
+                         .dump(o.statsPrefix == "all" ? "" : o.statsPrefix)
                          .c_str());
     }
-    if (o.metrics)
-        std::fprintf(rpt, "%s",
-                     sys.metrics()->snapshot().summary().c_str());
-    if (sys.timeline())
-        std::fprintf(rpt, "%s", sys.timeline()->report().c_str());
+    if (r.metrics)
+        std::fprintf(rpt, "%s", r.metrics->summary().c_str());
+    if (r.timelineReport)
+        std::fprintf(rpt, "%s", r.timelineReport->c_str());
     if (!o.timelineOut.empty())
         writeTextArtifact(o.timelineOut, sys.timeline()->csv(),
                           "timeline");
@@ -573,42 +548,15 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                      o.traceRaw.c_str());
     }
     if (!o.statsJson.empty() || !o.reportDir.empty()) {
-        std::string extra;
-        if (o.metrics)
-            extra = "  \"metrics\": " + sys.metrics()->snapshot().json();
-        if (sys.timeline()) {
-            if (!extra.empty())
-                extra += ",\n";
-            extra += "  \"timeline\": " + sys.timeline()->json();
-        }
-        std::string statsDoc = s.dumpJson(extra);
+        std::string statsDoc = statsDocument(sys);
         if (!o.statsJson.empty())
             writeTextArtifact(o.statsJson, statsDoc, "stats");
         if (!o.reportDir.empty()) {
-            BundleMeta bm;
-            bm.workload = wl.name;
-            bm.scheme = schemeName(scheme);
-            bm.protocol = o.protocol;
-            bm.cpus = cpus;
+            BundleMeta bm = bundleMeta(mp, wl.name, schemeName(scheme), r);
             bm.ops = o.ops;
-            bm.seed = o.seed;
             bm.theta = o.theta;
             bm.keys = o.keys;
             bm.partitions = o.partitions;
-            bm.wbLines = o.wbLines;
-            bm.victimEntries = o.victimEntries;
-            bm.yieldTimeout = o.yieldTimeout;
-            bm.preemptEvery = o.preemptEvery;
-            bm.preemptQuantum = o.preemptQuantum;
-            bm.maxTicks = o.maxTicks;
-            bm.timelineEpoch = o.timelineEpoch;
-            bm.metrics = o.metrics;
-            bm.explain = o.explainOn;
-            bm.checkInvariants = o.checkInvariants;
-            bm.completed = completed;
-            bm.valid = valid;
-            bm.cycles = sys.completionTick();
-            bm.invariantViolations = s.get("trace", "violations");
             bm.jobs = o.jobs;
 
             BundleArtifacts art;
@@ -630,29 +578,20 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                          entry.c_str());
         }
     }
-    if (!o.benchJson.empty()) {
-        ConfigRow row;
-        row.schemeStr = schemeStr;
-        row.cpus = cpus;
-        row.stats.completed = completed;
-        row.stats.valid = valid;
-        row.stats.cycles = sys.completionTick();
-        row.stats.kernelEvents = sys.eventQueue().executed();
-        row.wallSec = wallSec;
-        writeBenchJson(o, {row});
-    }
-    if (!completed)
+    if (!o.benchJson.empty())
+        writeBenchJson(o, {{schemeStr, cpus, r, wallSec}});
+    if (!r.completed)
         return 3;
-    return valid ? 0 : 2;
+    return r.valid ? 0 : 2;
 }
 
 int
 runSweepMode(const Options &o, const std::vector<std::string> &schemes,
              const std::vector<int> &cpusList)
 {
-    if (o.trace || !o.traceOut.empty())
-        fatal("--trace/--trace-out need a single (scheme, cpus) "
-              "config; narrow --scheme/--cpus");
+    if (!o.traceOut.empty())
+        fatal("--trace-out needs a single (scheme, cpus) config; "
+              "narrow --scheme/--cpus");
     if (o.explainOn || !o.traceRaw.empty())
         fatal("--explain/--trace-raw need a single (scheme, cpus) "
               "config; narrow --scheme/--cpus");
@@ -681,29 +620,12 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
             MachineParams mp = buildMachineParams(o, scheme, cpus);
             Workload wl = buildWorkload(o, cpus,
                                         schemeLockKind(scheme));
-            const Options *op = &o;
-            tasks.push_back(
-                {ss + "/p" + std::to_string(cpus),
-                 [mp, wl, op, cpus] {
-                     System sys(mp);
-                     installWorkload(sys, wl);
-                     installPreemptions(sys, *op, cpus);
-                     RunStats r;
-                     r.completed = sys.run();
-                     r.valid = wl.validate ? wl.validate(sys) : true;
-                     r.cycles = sys.completionTick();
-                     r.kernelEvents = sys.eventQueue().executed();
-                     r.commits = sys.stats().sum("spec", "commits");
-                     r.restarts = sys.stats().sum("spec", "restarts");
-                     if (sys.metrics())
-                         r.metrics = std::make_shared<MetricsSnapshot>(
-                             sys.metrics()->snapshot());
-                     return r;
-                 }});
-            ConfigRow row;
-            row.schemeStr = ss;
-            row.cpus = cpus;
-            rows.push_back(row);
+            tasks.push_back({ss + "/p" + std::to_string(cpus),
+                             [mp, wl] {
+                                 System sys(mp);
+                                 return simulate(sys, wl);
+                             }});
+            rows.push_back({ss, cpus, {}, 0});
         }
     }
 
@@ -821,7 +743,9 @@ parseArgs(int argc, char **argv, Options &o)
         else if (parseFlag(a, "--yield-timeout", v))
             o.yieldTimeout = parseNumber<Tick>("yield-timeout", v);
         else if (parseFlag(a, "--preempt-every", v))
-            o.preemptEvery = parseNumber<int>("preempt-every", v);
+            // A negative period has always meant no preemption.
+            o.preemptEvery = static_cast<Tick>(
+                std::max(0, parseNumber<int>("preempt-every", v)));
         else if (parseFlag(a, "--preempt-quantum", v))
             o.preemptQuantum = parseNumber<Tick>("preempt-quantum", v);
         else if (parseFlag(a, "--max-ticks", v))
@@ -860,7 +784,6 @@ parseArgs(int argc, char **argv, Options &o)
             std::printf("%s", versionString("tlrsim").c_str());
             return 0;
         }
-        else if (std::strcmp(a, "--trace") == 0) o.trace = true;
         else if (std::strcmp(a, "--list") == 0) o.listWorkloads = true;
         else if (std::strcmp(a, "--help") == 0 ||
                  std::strcmp(a, "-h") == 0) {
