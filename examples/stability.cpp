@@ -40,6 +40,7 @@ main()
         mp.numCpus = 2;
         mp.spec = schemeSpecConfig(Scheme::BaseSle);
         mp.spec.sleMaxRetries = 1'000'000'000; // restart forever
+        mp.spec.specMaxCycles = 1'000'000'000; // no quantum escape
         mp.maxTicks = 2'000'000;
         RunStats r = runWorkload(mp, makeReverseWriters(2, 100));
         std::printf("  restart-only speculation: completed=%s after "

@@ -15,6 +15,8 @@ namespace tlr
 namespace
 {
 
+/** Append every numeric leaf under @p v to @p out as ("a.b.c", value)
+ *  pairs. */
 void
 flattenInto(const JsonValue &v, const std::string &prefix, bool top,
             std::vector<std::pair<std::string, double>> &out)
@@ -53,13 +55,6 @@ schemaOf(const JsonValue &doc)
 
 } // namespace
 
-void
-flattenNumbers(const JsonValue &v,
-               std::vector<std::pair<std::string, double>> &out)
-{
-    flattenInto(v, "", true, out);
-}
-
 const JsonValue *
 resolvePath(const JsonValue &v, const std::string &path)
 {
@@ -91,22 +86,9 @@ diffStats(const JsonValue &old_doc, const JsonValue &new_doc,
         return rep;
     }
 
-    const JsonValue *oldRoot = resolvePath(old_doc, opt.oldPrefix);
-    const JsonValue *newRoot = resolvePath(new_doc, opt.newPrefix);
-    if (!oldRoot) {
-        rep.error = "old document: no such path: " + opt.oldPrefix;
-        return rep;
-    }
-    if (!newRoot) {
-        rep.error = "new document: no such path: " + opt.newPrefix;
-        return rep;
-    }
-
     {
-        const JsonValue *oldLen =
-            resolvePath(*oldRoot, "timeline.epoch_len");
-        const JsonValue *newLen =
-            resolvePath(*newRoot, "timeline.epoch_len");
+        const JsonValue *oldLen = resolvePath(old_doc, "timeline.epoch_len");
+        const JsonValue *newLen = resolvePath(new_doc, "timeline.epoch_len");
         if (oldLen && oldLen->isNumber())
             rep.oldEpochLen = static_cast<long>(oldLen->number);
         if (newLen && newLen->isNumber())
@@ -119,8 +101,8 @@ diffStats(const JsonValue &old_doc, const JsonValue &new_doc,
     }
 
     std::vector<std::pair<std::string, double>> oldFlat, newFlat;
-    flattenNumbers(*oldRoot, oldFlat);
-    flattenNumbers(*newRoot, newFlat);
+    flattenInto(old_doc, "", true, oldFlat);
+    flattenInto(new_doc, "", true, newFlat);
     std::map<std::string, double> oldMap(oldFlat.begin(), oldFlat.end());
     std::map<std::string, double> newMap(newFlat.begin(), newFlat.end());
 
@@ -205,10 +187,6 @@ renderDiff(const DiffReport &rep, const DiffOptions &opt)
                       opt.newName.c_str(), rep.newEpochLen);
         return out;
     }
-    if (!rep.error.empty()) {
-        out += "error: " + rep.error + "\n";
-        return out;
-    }
 
     size_t changed = 0;
     out += strfmt("%-44s %14s %14s %9s\n", "key", "old", "new", "delta%");
@@ -279,16 +257,10 @@ renderDiffJson(const DiffReport &rep, const DiffOptions &opt)
            strfmt(", \"schema\": %ld},\n", rep.newSchema);
     out += strfmt("  \"threshold_pct\": %.6g,\n", opt.thresholdPct);
 
-    const char *refusal = rep.schemaMismatch ? "schema_mismatch"
-                          : rep.timelineEpochMismatch
-                              ? "timeline_epoch_mismatch"
-                          : !rep.error.empty() ? "error"
-                                               : nullptr;
-    if (refusal) {
+    if (!rep.ok()) {
         out += strfmt("  \"refused\": true,\n  \"refusal\": \"%s\",\n",
-                      refusal);
-        if (!rep.error.empty())
-            out += "  \"error\": " + jsonQuote(rep.error) + ",\n";
+                      rep.schemaMismatch ? "schema_mismatch"
+                                         : "timeline_epoch_mismatch");
         if (rep.timelineEpochMismatch)
             out += strfmt("  \"old_epoch_len\": %ld, "
                           "\"new_epoch_len\": %ld,\n",

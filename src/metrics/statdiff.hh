@@ -1,12 +1,13 @@
 /**
  * @file
- * Stats-dump comparison engine behind `tlrreport --diff`.
+ * Stats-dump comparison engine behind `tlrreport --diff` and
+ * `--trend` (a trend is one diff per run against the first).
  *
- * Diffs two parsed --stats-json (or BENCH_*.json) documents: flattens
- * every numeric leaf to a dotted path, pairs the paths, computes the
- * relative change and flags rows exceeding a threshold. Refuses to
- * compare documents with mismatched schema_version fields — cross-
- * schema diffs silently mis-pair keys, which is worse than an error.
+ * Diffs two parsed --stats-json documents: flattens every numeric
+ * leaf to a dotted path, pairs the paths, computes the relative change
+ * and flags rows exceeding a threshold. Refuses to compare documents
+ * with mismatched schema_version fields — cross-schema diffs silently
+ * mis-pair keys, which is worse than an error.
  */
 
 #ifndef TLR_METRICS_STATDIFF_HH
@@ -23,11 +24,6 @@ namespace tlr
 struct DiffOptions
 {
     double thresholdPct = 20.0; ///< flag rows with |delta| above this
-    /** Dotted path selecting the comparison root inside each document
-     *  (empty = whole document). Lets a diff compare one sub-record of a
-     *  multi-config bench dump, e.g. --old-prefix=current. */
-    std::string oldPrefix;
-    std::string newPrefix;
     /** Display names for the two inputs (tlrreport passes the file
      *  paths) so refusal/error messages can say which file carries
      *  which schema version. */
@@ -37,7 +33,7 @@ struct DiffOptions
 
 struct DiffRow
 {
-    std::string key;    ///< dotted path below the comparison root
+    std::string key;    ///< dotted path of the numeric leaf
     double oldVal = 0;
     double newVal = 0;
     double relPct = 0;  ///< 100*(new-old)/old; 0 when old==new==0
@@ -57,7 +53,6 @@ struct DiffReport
     /** Per-epoch regression localization: one line per timeline field
      *  that changed, naming the first diverging epoch. */
     std::vector<std::string> timelineNotes;
-    std::string error;       ///< non-empty on structural failure
     long oldSchema = -1;     ///< -1 = legacy (no schema_version field)
     long newSchema = -1;
     std::vector<DiffRow> rows;        ///< keys present in both, sorted
@@ -65,11 +60,8 @@ struct DiffReport
     std::vector<std::string> onlyNew; ///< keys that appeared
     size_t exceeded = 0;              ///< rows over the threshold
 
-    bool ok() const
-    {
-        return error.empty() && !schemaMismatch &&
-               !timelineEpochMismatch;
-    }
+    /** False when the diff was refused. */
+    bool ok() const { return !schemaMismatch && !timelineEpochMismatch; }
 };
 
 /** Compare two parsed stats documents. */
@@ -86,14 +78,8 @@ std::string renderDiff(const DiffReport &rep, const DiffOptions &opt);
  *  human table. */
 std::string renderDiffJson(const DiffReport &rep, const DiffOptions &opt);
 
-/** Flatten every numeric leaf under @p v into @p out as
- *  ("a.b.c", value) pairs. Skips the schema_version field and the
- *  meta subtree at the top level (build metadata is not a metric). */
-void flattenNumbers(const JsonValue &v,
-                    std::vector<std::pair<std::string, double>> &out);
-
-/** Walk a dotted path ("bench.current") into an object tree; null when
- *  any component is missing. */
+/** Walk a dotted path ("timeline.epoch_len") into an object tree;
+ *  null when any component is missing. */
 const JsonValue *resolvePath(const JsonValue &v, const std::string &path);
 
 } // namespace tlr

@@ -24,11 +24,11 @@
  *   renderDiffHtml      two runs through src/metrics/statdiff: every
  *                       changed key, threshold violations highlighted,
  *                       first-diverging-epoch notes
- *   renderTrendHtml     a whole ledger: per-metric series across runs,
- *                       naming the first run whose value deviates from
- *                       the run-1 baseline beyond the threshold — the
- *                       run-granularity analogue of the diff's first-
- *                       diverging-epoch localization
+ *   renderTrendHtml     a whole ledger: one statdiff per run against
+ *                       run 1, read as per-metric series, naming the
+ *                       first run whose diff exceeds the threshold —
+ *                       the run-granularity analogue of the diff's
+ *                       first-diverging-epoch localization
  */
 
 #ifndef TLR_REPORT_REPORT_HH
@@ -62,20 +62,22 @@ struct TrendRow
 
 struct TrendReport
 {
-    std::string error;   ///< non-empty on structural failure
-    bool schemaMismatch = false; ///< stats schemas differ across runs
+    std::string error;   ///< non-empty on an empty or refused ledger
+    /** A diff against run 1 was refused (stats schema or timeline
+     *  epoch length differs), so the trend is too. */
+    bool refused = false;
     std::vector<std::string> runNames; ///< bundle entry names, run order
     std::vector<TrendRow> rows;        ///< keys that changed at all
     size_t compared = 0;  ///< keys present in every run
     size_t regressed = 0; ///< rows with firstRegressRun >= 0
 
-    bool ok() const { return error.empty() && !schemaMismatch; }
+    bool ok() const { return error.empty(); }
 };
 
-/** Walk a ledger's bundles (run order) and localize, per metric, the
- *  first run that deviates from the run-1 baseline by more than
- *  @p thresholdPct percent. Per-epoch timeline keys are excluded
- *  (--diff already localizes those *within* a run). */
+/** Diff each of a ledger's bundles (run order) against run 1 with
+ *  diffStats() and localize, per metric, the first run whose diff
+ *  exceeds @p thresholdPct percent. Per-epoch timeline keys are
+ *  excluded (--diff already localizes those *within* a run). */
 TrendReport analyzeTrend(const std::vector<LoadedBundle> &runs,
                          double thresholdPct);
 

@@ -206,25 +206,6 @@ TEST(StatDiff, RefusesSchemaMismatch)
     EXPECT_TRUE(diffStats(v2, v2, opt).ok());
 }
 
-TEST(StatDiff, PrefixSelectsComparisonRoot)
-{
-    JsonValue doc = mustParse(
-        "{\"baseline\": {\"x\": 100}, \"current\": {\"x\": 130}}");
-    DiffOptions opt;
-    opt.thresholdPct = 20;
-    opt.oldPrefix = "baseline";
-    opt.newPrefix = "current";
-    DiffReport rep = diffStats(doc, doc, opt);
-    ASSERT_TRUE(rep.ok());
-    ASSERT_EQ(rep.rows.size(), 1u);
-    EXPECT_EQ(rep.rows[0].key, "x");
-    EXPECT_NEAR(rep.rows[0].relPct, 30.0, 1e-9);
-    EXPECT_EQ(rep.exceeded, 1u);
-
-    opt.oldPrefix = "no.such.path";
-    EXPECT_FALSE(diffStats(doc, doc, opt).ok());
-}
-
 TEST(StatDiff, HostTimeKeysGateLikeAnyOtherKey)
 {
     // No key is exempt from the threshold: host_threads, speedup,

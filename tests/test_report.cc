@@ -406,8 +406,30 @@ TEST(Trend, RefusesMixedStatsSchemas)
     std::vector<LoadedBundle> runs = syntheticLedger();
     runs[2].stats = parsed("{\"schema_version\": 3, \"counters\": {}}");
     TrendReport t = analyzeTrend(runs, 20.0);
-    EXPECT_TRUE(t.schemaMismatch);
+    EXPECT_TRUE(t.refused);
+    EXPECT_FALSE(t.ok());
     EXPECT_NE(t.error.find("schema_version"), std::string::npos);
+}
+
+TEST(Trend, RefusesMixedEpochLengths)
+{
+    // A trend is diffs against run 1, so it refuses what a diff
+    // refuses: epoch 3 of a 500-cycle timeline is not epoch 3 of a
+    // 1000-cycle one.
+    std::vector<LoadedBundle> runs = syntheticLedger();
+    runs.resize(2);
+    runs[0].stats = parsed("{\"schema_version\": 2, \"counters\": "
+                           "{\"a\": 1}, \"timeline\": {\"epoch_len\": "
+                           "1000}}");
+    runs[1].stats = parsed("{\"schema_version\": 2, \"counters\": "
+                           "{\"a\": 1}, \"timeline\": {\"epoch_len\": "
+                           "500}}");
+    TrendReport t = analyzeTrend(runs, 20.0);
+    EXPECT_TRUE(t.refused);
+    EXPECT_TRUE(t.rows.empty());
+    EXPECT_NE(t.error.find("epoch_len"), std::string::npos) << t.error;
+    EXPECT_NE(trendSummaryText(t, 20.0).find("epoch_len"),
+              std::string::npos);
 }
 
 TEST(DiffJson, DocumentShape)

@@ -21,12 +21,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "explain/explain.hh"
+#include "cli.hh"
 #include "explain/rawtrace.hh"
 #include "sim/build_info.hh"
 #include "sim/logging.hh"
@@ -46,11 +45,8 @@ struct Options
     bool header = false;
     std::string countKey;  // cpu | kind | class | lock | comp
     bool count = false;
-    bool explainOn = false;
-    std::string explainMode; // txn | lock | cpu
-    std::string explainDot;
-    std::string explainJson;
-    std::string out;       // output destination ("" = stdout)
+    cli::ExplainFlags explain;
+    std::string out;       // output destination ("" or "-" = stdout)
     std::uint64_t limit = 0; // 0 = unlimited
     Tick timelineEpoch = 0;  // --timeline=N offline reconstruction
 };
@@ -86,31 +82,6 @@ usage()
         "  --version           build metadata + schema versions\n");
 }
 
-bool
-parseFlag(const char *arg, const char *name, std::string &out)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
-ExplainMode
-parseExplainMode(const std::string &m)
-{
-    if (m.empty() || m == "txn")
-        return ExplainMode::Txn;
-    if (m == "lock")
-        return ExplainMode::Lock;
-    if (m == "cpu")
-        return ExplainMode::Cpu;
-    std::fprintf(stderr, "unknown explain mode '%s' (txn|lock|cpu)\n",
-                 m.c_str());
-    std::exit(1);
-}
-
 std::string
 countKeyOf(const TraceRecord &r, const std::string &key)
 {
@@ -125,19 +96,21 @@ countKeyOf(const TraceRecord &r, const std::string &key)
     return traceEventName(r.kind); // "kind" (default)
 }
 
-} // namespace
-
+/**
+ * Fill @p o and @p filter from the command line. @return -1 to go on
+ * and query, or the exit status once --help, --version or an unknown
+ * flag has been handled. A malformed value or filter throws
+ * std::invalid_argument.
+ */
 int
-main(int argc, char **argv)
+parseArgs(int argc, char **argv, Options &o, TraceFilter &filter)
 {
-    Options o;
-    TraceFilter filter;
+    using cli::parseFlag;
+    using cli::parseNumber;
     auto addFilterTerm = [&](const std::string &term) {
         std::string err = filter.parse(term);
-        if (!err.empty()) {
-            std::fprintf(stderr, "bad filter: %s\n", err.c_str());
-            std::exit(1);
-        }
+        if (!err.empty())
+            throw std::invalid_argument("bad filter: " + err);
     };
     for (int i = 1; i < argc; ++i) {
         std::string v;
@@ -158,22 +131,10 @@ main(int argc, char **argv)
             o.countKey = "kind";
         }
         else if (parseFlag(a, "--limit", v))
-            o.limit = std::strtoull(v.c_str(), nullptr, 0);
-        else if (parseFlag(a, "--explain-dot", v)) {
-            o.explainOn = true;
-            o.explainDot = v;
-        }
-        else if (parseFlag(a, "--explain-json", v)) {
-            o.explainOn = true;
-            o.explainJson = v;
-        }
-        else if (parseFlag(a, "--explain", v)) {
-            o.explainOn = true;
-            o.explainMode = v;
-        }
-        else if (std::strcmp(a, "--explain") == 0) o.explainOn = true;
+            o.limit = parseNumber<std::uint64_t>("limit", v);
+        else if (cli::parseExplainFlag(a, o.explain)) continue;
         else if (parseFlag(a, "--timeline", v))
-            o.timelineEpoch = std::strtoull(v.c_str(), nullptr, 0);
+            o.timelineEpoch = parseNumber<Tick>("timeline", v);
         else if (parseFlag(a, "--out", v)) o.out = v;
         else if (std::strcmp(a, "--header") == 0) o.header = true;
         else if (std::strcmp(a, "--version") == 0) {
@@ -195,16 +156,34 @@ main(int argc, char **argv)
             return 1;
         }
     }
+    return -1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    Options o;
+    TraceFilter filter;
+    try {
+        const int rc = parseArgs(argc, argv, o, filter);
+        if (rc >= 0)
+            return rc;
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "tlrquery: %s\n", e.what());
+        return 1;
+    }
     if (o.file.empty()) {
         std::fprintf(stderr, "no input file\n");
         usage();
         return 1;
     }
-    if (o.count && o.explainOn) {
+    if (o.count && o.explain.on) {
         std::fprintf(stderr, "--count and --explain are exclusive\n");
         return 1;
     }
-    if (o.timelineEpoch > 0 && (o.count || o.explainOn)) {
+    if (o.timelineEpoch > 0 && (o.count || o.explain.on)) {
         std::fprintf(stderr,
                      "--timeline is exclusive with --count/--explain\n");
         return 1;
@@ -234,8 +213,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    std::ofstream outFile;
-    std::ostream *os = nullptr;
     std::string buffer;
     auto emit = [&](const std::string &line) { buffer += line; };
 
@@ -269,7 +246,7 @@ main(int argc, char **argv)
         EpochTimeline timeline(o.timelineEpoch);
         reader.replay(timeline);
         emit(timeline.csv());
-    } else if (o.explainOn) {
+    } else if (o.explain.on) {
         Explainer explainer;
         reader.forEach([&](const TraceRecord &r) {
             if (!filter.empty() && !filter.matches(r))
@@ -277,24 +254,11 @@ main(int argc, char **argv)
             explainer.onRecord(r);
         });
         explainer.finish(h.finalTick);
-        emit(explainer.report(parseExplainMode(o.explainMode)));
-        if (!o.explainDot.empty()) {
-            std::ofstream dot(o.explainDot);
-            if (!dot) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             o.explainDot.c_str());
-                return 1;
-            }
-            dot << explainer.dot();
-        }
-        if (!o.explainJson.empty()) {
-            std::ofstream json(o.explainJson);
-            if (!json) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             o.explainJson.c_str());
-                return 1;
-            }
-            json << explainer.json();
+        emit(explainer.report(o.explain.mode));
+        std::string err = cli::writeExplainFiles(o.explain, explainer);
+        if (!err.empty()) {
+            std::fprintf(stderr, "tlrquery: %s\n", err.c_str());
+            return 1;
         }
     } else {
         std::uint64_t printed = 0;
@@ -308,16 +272,10 @@ main(int argc, char **argv)
         });
     }
 
-    if (!o.out.empty()) {
-        outFile.open(o.out, std::ios::binary);
-        if (!outFile) {
-            std::fprintf(stderr, "cannot write '%s'\n", o.out.c_str());
-            return 1;
-        }
-        os = &outFile;
-        *os << buffer;
-    } else {
-        std::fwrite(buffer.data(), 1, buffer.size(), stdout);
+    err = cli::writeText(o.out, buffer);
+    if (!err.empty()) {
+        std::fprintf(stderr, "tlrquery: %s\n", err.c_str());
+        return 1;
     }
     return 0;
 }

@@ -10,28 +10,29 @@
  *
  * The HTML goes to --out (default stdout); the human-readable digest
  * always goes to stderr so piping the page never mixes streams.
- * --diff takes two bundle directories or two --stats-json (or
- * BENCH_*.json) files; --json writes the versioned diff document
- * instead of HTML, and --old-prefix/--new-prefix pick the comparison
- * root in each document (--old-prefix also sets --new-prefix unless
- * that is given). Exit codes: 0 clean, 1 usage/IO/parse error, 2
+ * --diff takes two bundle directories or two --stats-json files;
+ * --json writes the versioned diff document instead of HTML. --trend
+ * diffs every run against the first, so it refuses what a diff
+ * refuses. Exit codes: 0 clean, 1 usage/IO/parse error, 2
  * schema_version or timeline epoch-length refusal, 3 threshold
  * exceeded (diff) or at least one regressed metric (trend).
  *
  * Byte-determinism contract: for the same simulation config and seed,
- * the emitted HTML is identical on any host — enforced by ctest fixtures and the CI golden-report compare.
+ * the emitted HTML is identical on any host — enforced by ctest
+ * fixtures and the CI golden-report compare.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <sys/stat.h>
 
+#include "cli.hh"
 #include "metrics/statdiff.hh"
 #include "report/bundle.hh"
 #include "report/report.hh"
@@ -59,9 +60,6 @@ usage()
         "                      (default 20)\n"
         "  --json              --diff: write the versioned diff document\n"
         "                      instead of HTML\n"
-        "  --old-prefix=PATH   --diff: dotted path to the comparison\n"
-        "                      root in A (also sets --new-prefix)\n"
-        "  --new-prefix=PATH   --diff: comparison root in B\n"
         "  --version           print build and schema versions\n"
         "\n"
         "exit codes: 0 clean; 1 usage/IO error; 2 schema refusal;\n"
@@ -75,37 +73,16 @@ isDirectory(const std::string &path)
     return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
 }
 
-bool
-parseFlag(const char *arg, const char *name, std::string &out)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) != 0 || arg[n] != '=')
-        return false;
-    out = arg + n + 1;
-    return true;
-}
-
+/** Write the page to @p outPath through the shared text writer.
+ *  @return 0, or 1 after printing why it failed. */
 int
-writeOutput(const std::string &outPath, const std::string &html)
+writePage(const std::string &outPath, const std::string &page)
 {
-    if (outPath.empty() || outPath == "-") {
-        std::fwrite(html.data(), 1, html.size(), stdout);
+    std::string err = tlr::cli::writeText(outPath, page);
+    if (err.empty())
         return 0;
-    }
-    std::ofstream out(outPath, std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr, "tlrreport: cannot write '%s'\n",
-                     outPath.c_str());
-        return 1;
-    }
-    out << html;
-    out.close();
-    if (!out) {
-        std::fprintf(stderr, "tlrreport: write failed for '%s'\n",
-                     outPath.c_str());
-        return 1;
-    }
-    return 0;
+    std::fprintf(stderr, "tlrreport: %s\n", err.c_str());
+    return 1;
 }
 
 /** A --diff operand is either a bundle directory or a bare stats-json
@@ -154,7 +131,7 @@ runReport(const std::string &dir, const std::string &outPath)
         // IO error; everything else in loadBundle is.
         return err.find("schema_version") != std::string::npos ? 2 : 1;
     }
-    int rc = writeOutput(outPath, tlr::renderFlightReport(b));
+    int rc = writePage(outPath, tlr::renderFlightReport(b));
     if (rc == 0)
         std::fprintf(stderr, "report: rendered bundle %s\n",
                      b.name.c_str());
@@ -163,23 +140,23 @@ runReport(const std::string &dir, const std::string &outPath)
 
 int
 runDiff(const std::string &oldPath, const std::string &newPath,
-        const std::string &outPath, tlr::DiffOptions opt, bool json)
+        const std::string &outPath, double thresholdPct, bool json)
 {
+    tlr::DiffOptions opt;
+    opt.thresholdPct = thresholdPct;
     tlr::JsonValue oldDoc, newDoc;
     if (!loadDiffOperand(oldPath, oldDoc, opt.oldName) ||
         !loadDiffOperand(newPath, newDoc, opt.newName))
         return 1;
     tlr::DiffReport rep = tlr::diffStats(oldDoc, newDoc, opt);
-    int rc = writeOutput(outPath, json ? tlr::renderDiffJson(rep, opt)
-                                       : tlr::renderDiffHtml(rep, opt));
+    int rc = writePage(outPath, json ? tlr::renderDiffJson(rep, opt)
+                                     : tlr::renderDiffHtml(rep, opt));
     if (rc != 0)
         return rc;
     std::string text = tlr::renderDiff(rep, opt);
     std::fwrite(text.data(), 1, text.size(), stderr);
-    if (rep.schemaMismatch || rep.timelineEpochMismatch)
+    if (!rep.ok())
         return 2;
-    if (!rep.error.empty())
-        return 1;
     return rep.exceeded ? 3 : 0;
 }
 
@@ -204,12 +181,12 @@ runTrend(const std::string &ledgerDir, const std::string &outPath,
         runs.push_back(std::move(b));
     }
     tlr::TrendReport t = tlr::analyzeTrend(runs, thresholdPct);
-    int rc = writeOutput(outPath, tlr::renderTrendHtml(t, thresholdPct));
+    int rc = writePage(outPath, tlr::renderTrendHtml(t, thresholdPct));
     if (rc != 0)
         return rc;
     std::string text = tlr::trendSummaryText(t, thresholdPct);
     std::fwrite(text.data(), 1, text.size(), stderr);
-    if (t.schemaMismatch)
+    if (t.refused)
         return 2;
     if (!t.error.empty())
         return 1;
@@ -222,10 +199,8 @@ int
 main(int argc, char **argv)
 {
     std::string outPath = "-";
-    std::string threshold;
-    bool diffMode = false, trendMode = false;
-    tlr::DiffOptions diffOpt;
-    bool json = false, prefixSet = false, newPrefixSet = false;
+    double thresholdPct = 20.0;
+    bool diffMode = false, trendMode = false, json = false;
     std::vector<std::string> operands;
 
     for (int i = 1; i < argc; ++i) {
@@ -243,18 +218,19 @@ main(int argc, char **argv)
             trendMode = true;
         } else if (std::strcmp(arg, "--json") == 0) {
             json = true;
-        } else if (parseFlag(arg, "--old-prefix", val)) {
-            diffOpt.oldPrefix = val;
-            if (!newPrefixSet)
-                diffOpt.newPrefix = val;
-            prefixSet = true;
-        } else if (parseFlag(arg, "--new-prefix", val)) {
-            diffOpt.newPrefix = val;
-            prefixSet = newPrefixSet = true;
-        } else if (parseFlag(arg, "--out", val)) {
+        } else if (tlr::cli::parseFlag(arg, "--out", val)) {
             outPath = val;
-        } else if (parseFlag(arg, "--threshold", val)) {
-            threshold = val;
+        } else if (tlr::cli::parseFlag(arg, "--threshold", val)) {
+            // PCT or PCT%: a finite, non-negative percentage.
+            if (!val.empty() && val.back() == '%')
+                val.pop_back();
+            try {
+                thresholdPct =
+                    tlr::cli::parseNumber<double>("threshold", val, 0.0);
+            } catch (const std::invalid_argument &e) {
+                std::fprintf(stderr, "tlrreport: %s\n", e.what());
+                return 1;
+            }
         } else if (arg[0] == '-' && arg[1] == '-') {
             std::fprintf(stderr, "tlrreport: unknown option '%s'\n\n",
                          arg);
@@ -265,29 +241,13 @@ main(int argc, char **argv)
         }
     }
 
-    double thresholdPct = 20.0;
-    if (!threshold.empty()) {
-        std::string pct = threshold;
-        if (pct.back() == '%')
-            pct.pop_back();
-        char *end = nullptr;
-        thresholdPct = std::strtod(pct.c_str(), &end);
-        if (end == pct.c_str() || *end || thresholdPct < 0) {
-            std::fprintf(stderr,
-                         "tlrreport: bad --threshold value '%s'\n",
-                         threshold.c_str());
-            return 1;
-        }
-    }
-
     if (diffMode && trendMode) {
         std::fprintf(stderr,
                      "tlrreport: --diff and --trend are exclusive\n");
         return 1;
     }
-    if (!diffMode && (json || prefixSet)) {
-        std::fprintf(stderr, "tlrreport: --json, --old-prefix and "
-                             "--new-prefix need --diff\n");
+    if (!diffMode && json) {
+        std::fprintf(stderr, "tlrreport: --json needs --diff\n");
         return 1;
     }
     if (diffMode) {
@@ -297,8 +257,8 @@ main(int argc, char **argv)
             usage();
             return 1;
         }
-        diffOpt.thresholdPct = thresholdPct;
-        return runDiff(operands[0], operands[1], outPath, diffOpt, json);
+        return runDiff(operands[0], operands[1], outPath, thresholdPct,
+                       json);
     }
     if (trendMode) {
         if (operands.size() != 1) {

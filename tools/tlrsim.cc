@@ -13,30 +13,28 @@
  * host threads (default: hardware concurrency). `--bench-json=FILE`
  * records per-config wall-clock and events/sec either way.
  *
- * Run with --help for the full flag list. Exit status is 0 on a
- * completed, validated run; 2 on validation failure; 3 on watchdog
- * timeout (livelock).
+ * A sweep simulates the same machine per config as a single run,
+ * invariant checkers included, and refuses the flags that name one
+ * run's files. Run with --help for the full flag list. Exit status,
+ * for a run and a sweep alike: 1 on a usage error or if any config
+ * threw (a checker panic); else 3 if any hit the watchdog (livelock);
+ * else 2 if any failed validation; else 0.
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <limits>
-#include <map>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <unistd.h> // isatty: --progress is a TTY-only status line
 
-#include "explain/explain.hh"
+#include "cli.hh"
 #include "explain/rawtrace.hh"
 #include "report/bundle.hh"
 #include "harness/runner.hh"
@@ -69,10 +67,7 @@ struct Options
     std::string traceOut;    // Chrome-trace JSON destination
     std::string traceRaw;    // binary trace destination (tlrquery)
     std::string traceFilter; // record filter for --trace-raw
-    bool explainOn = false;  // causal conflict explainer
-    std::string explainMode; // txn (default) | lock | cpu
-    std::string explainDot;  // conflict graph DOT destination
-    std::string explainJson; // explain JSON destination
+    cli::ExplainFlags explain; // causal conflict explainer
     bool checkInvariants = false;
     bool metrics = false;    // latency/contention/traffic profiling
     Tick timelineEpoch = 0;  // epoch-sliced telemetry; 0 = off
@@ -226,54 +221,8 @@ buildWorkload(const Options &o, int cpus, LockKind kind)
 /** Trace records carry the cpu id in 16 signed bits. */
 constexpr int maxCpus = 32767;
 
-/**
- * The value of numeric flag --@p flag: an integer (decimal, or 0x/0
- * prefixed as in strtoull) or, for a floating-point @p T, a decimal
- * number, within [@p lo, @p hi]. Empty input, a sign on an unsigned
- * flag, trailing characters and out-of-range values throw
- * std::invalid_argument("invalid value for --FLAG: 'V'").
- */
-template <typename T>
-T
-parseNumber(const char *flag, const std::string &v,
-            T lo = std::numeric_limits<T>::min(),
-            T hi = std::numeric_limits<T>::max())
-{
-    const char *begin = v.c_str();
-    char *end = nullptr;
-    errno = 0;
-    bool ok = !v.empty() && !std::isspace(static_cast<unsigned char>(v[0]));
-    T out{};
-    if constexpr (std::is_floating_point_v<T>) {
-        const double d = std::strtod(begin, &end);
-        ok = ok && std::isfinite(d);
-        out = static_cast<T>(d);
-    } else if constexpr (std::is_signed_v<T>) {
-        const long long x = std::strtoll(begin, &end, 0);
-        ok = ok && x >= lo && x <= hi;
-        out = static_cast<T>(x);
-    } else {
-        const unsigned long long x = std::strtoull(begin, &end, 0);
-        ok = ok && v[0] != '-' && v[0] != '+' && x <= hi;
-        out = static_cast<T>(x);
-    }
-    if (!ok || errno == ERANGE || *end != '\0' || out < lo || out > hi)
-        throw std::invalid_argument(strfmt("invalid value for --%s: '%s'",
-                                           flag, v.c_str()));
-    return out;
-}
-
-bool
-parseFlag(const char *arg, const char *name, std::string &out)
-{
-    size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        out = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
+/** The one machine a (scheme, cpus) config of @p o simulates, for a
+ *  single run and for every config of a sweep alike. */
 MachineParams
 buildMachineParams(const Options &o, Scheme scheme, int cpus)
 {
@@ -294,32 +243,62 @@ buildMachineParams(const Options &o, Scheme scheme, int cpus)
     mp.timelineEpoch = o.timelineEpoch;
     mp.preemptEvery = o.preemptEvery;
     mp.preemptQuantum = o.preemptQuantum;
+    const bool wantRing = !o.traceOut.empty() || o.checkInvariants;
+    mp.trace.ringCapacity = wantRing ? o.ringCapacity : 0;
+    mp.trace.checkInvariants = o.checkInvariants;
+    mp.explain = o.explain.on;
     return mp;
 }
 
-/** One (scheme, cpus) cell of a sweep, with host-side measurements. */
+/** One (scheme, cpus) config of a run or sweep, with host-side
+ *  measurements. */
 struct ConfigRow
 {
     std::string schemeStr;
     int cpus = 0;
     RunStats stats;
     double wallSec = 0;
+    bool threw = false; ///< the simulation threw (e.g. a checker panic)
 };
 
-/** Write a text artifact to a file, or to stdout when the target is
- *  '-' (the human summary has already been routed to stderr then). */
-void
-writeTextArtifact(const std::string &path, const std::string &text,
-                  const char *what)
+/** The exit status of a run or sweep: 1 if any config threw, else 3 if
+ *  any hit the watchdog, else 2 if any failed validation, else 0. */
+int
+exitStatus(const std::vector<ConfigRow> &rows)
 {
-    if (path == "-") {
-        std::fwrite(text.data(), 1, text.size(), stdout);
-        return;
-    }
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        fatal("cannot write %s file '%s'", what, path.c_str());
-    out << text;
+    auto any = [&](auto pred) {
+        return std::any_of(rows.begin(), rows.end(), pred);
+    };
+    if (any([](const ConfigRow &r) { return r.threw; }))
+        return 1;
+    if (any([](const ConfigRow &r) { return !r.stats.completed; }))
+        return 3;
+    if (any([](const ConfigRow &r) { return !r.stats.valid; }))
+        return 2;
+    return 0;
+}
+
+/** Where the human-readable summary goes: a '-' sink owns stdout, so
+ *  the summary moves to stderr and the machine document stays clean
+ *  for pipes. main() already refused more than one stdout sink. */
+FILE *
+reportStream(const Options &o)
+{
+    return o.statsJson == "-" || o.timelineOut == "-" ||
+                   o.benchJson == "-"
+               ? stderr
+               : stdout;
+}
+
+/** Write one output file of the run; a failure is fatal and names
+ *  the @p flag that asked for it. */
+void
+writeArtifact(const char *flag, const std::string &path,
+              const std::string &text)
+{
+    std::string err = cli::writeText(path, text);
+    if (!err.empty())
+        fatal("%s: %s", flag, err.c_str());
 }
 
 void
@@ -349,19 +328,7 @@ writeBenchJson(const Options &o, const std::vector<ConfigRow> &rows)
         doc += buf;
     }
     doc += "]\n";
-    writeTextArtifact(o.benchJson, doc, "bench");
-}
-
-ExplainMode
-parseExplainMode(const std::string &m)
-{
-    if (m.empty() || m == "txn")
-        return ExplainMode::Txn;
-    if (m == "lock")
-        return ExplainMode::Lock;
-    if (m == "cpu")
-        return ExplainMode::Cpu;
-    fatal("unknown explain mode '%s' (txn|lock|cpu)", m.c_str());
+    writeArtifact("--bench-json", o.benchJson, doc);
 }
 
 int
@@ -369,19 +336,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
 {
     Scheme scheme = parseScheme(schemeStr);
     MachineParams mp = buildMachineParams(o, scheme, cpus);
-
-    // A '-' sink owns stdout; the human-readable summary moves to
-    // stderr so the machine document stays clean for pipes. main()
-    // already refused more than one stdout sink.
-    FILE *rpt = (o.statsJson == "-" || o.timelineOut == "-" ||
-                 o.benchJson == "-")
-                    ? stderr
-                    : stdout;
-
-    const bool wantRing = !o.traceOut.empty() || o.checkInvariants;
-    mp.trace.ringCapacity = wantRing ? o.ringCapacity : 0;
-    mp.trace.checkInvariants = o.checkInvariants;
-    mp.explain = o.explainOn;
+    FILE *rpt = reportStream(o);
 
     if (!o.traceFilter.empty() && o.traceRaw.empty())
         fatal("--trace-filter only thins the --trace-raw file; "
@@ -490,32 +445,16 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
     if (r.timelineReport)
         std::fprintf(rpt, "%s", r.timelineReport->c_str());
     if (!o.timelineOut.empty())
-        writeTextArtifact(o.timelineOut, sys.timeline()->csv(),
-                          "timeline");
-    if (o.explainOn) {
+        writeArtifact("--timeline-out", o.timelineOut,
+                      sys.timeline()->csv());
+    if (o.explain.on) {
         std::fprintf(rpt, "%s",
-                     sys.explainer()
-                         ->report(parseExplainMode(o.explainMode))
-                         .c_str());
-        if (!o.explainDot.empty()) {
-            std::ofstream out(o.explainDot);
-            if (!out)
-                fatal("cannot write dot file '%s'",
-                      o.explainDot.c_str());
-            out << sys.explainer()->dot();
-        }
-        if (!o.explainJson.empty()) {
-            std::ofstream out(o.explainJson);
-            if (!out)
-                fatal("cannot write explain file '%s'",
-                      o.explainJson.c_str());
-            out << sys.explainer()->json();
-        }
+                     sys.explainer()->report(o.explain.mode).c_str());
+        std::string err = cli::writeExplainFiles(o.explain, *sys.explainer());
+        if (!err.empty())
+            fatal("--explain: %s", err.c_str());
     }
     if (!o.traceOut.empty()) {
-        std::ofstream out(o.traceOut);
-        if (!out)
-            fatal("cannot write trace file '%s'", o.traceOut.c_str());
         std::vector<CounterTrack> tracks;
         if (o.metrics)
             tracks = sys.metrics()->counterTracks();
@@ -525,9 +464,11 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
             tracks.insert(tracks.end(), tl.begin(), tl.end());
         }
         std::vector<FlowArrow> flows;
-        if (o.explainOn)
+        if (o.explain.on)
             flows = sys.explainer()->flowArrows();
+        std::ostringstream out;
         lifecycle.exportChromeTrace(out, tracks, flows);
+        writeArtifact("--trace-out", o.traceOut, out.str());
         std::fprintf(stderr,
                      "wrote %zu transaction spans, %zu instants, "
                      "%zu counter tracks, %zu flow arrows to %s\n",
@@ -550,7 +491,7 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
     if (!o.statsJson.empty() || !o.reportDir.empty()) {
         std::string statsDoc = statsDocument(sys);
         if (!o.statsJson.empty())
-            writeTextArtifact(o.statsJson, statsDoc, "stats");
+            writeArtifact("--stats-json", o.statsJson, statsDoc);
         if (!o.reportDir.empty()) {
             BundleMeta bm = bundleMeta(mp, wl.name, schemeName(scheme), r);
             bm.ops = o.ops;
@@ -563,9 +504,8 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
             art.statsJson = statsDoc;
             if (sys.timeline())
                 art.timelineCsv = sys.timeline()->csv();
-            if (o.explainOn)
-                art.explainText = sys.explainer()->report(
-                    parseExplainMode(o.explainMode));
+            if (o.explain.on)
+                art.explainText = sys.explainer()->report(o.explain.mode);
             // The raw writer was closed above (header back-patched,
             // every record written), so the file is safe to copy.
             art.rawTracePath = o.traceRaw;
@@ -578,55 +518,61 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                          entry.c_str());
         }
     }
+    const std::vector<ConfigRow> rows{{schemeStr, cpus, r, wallSec, false}};
     if (!o.benchJson.empty())
-        writeBenchJson(o, {{schemeStr, cpus, r, wallSec}});
-    if (!r.completed)
-        return 3;
-    return r.valid ? 0 : 2;
+        writeBenchJson(o, rows);
+    return exitStatus(rows);
 }
 
 int
 runSweepMode(const Options &o, const std::vector<std::string> &schemes,
              const std::vector<int> &cpusList)
 {
-    if (!o.traceOut.empty())
-        fatal("--trace-out needs a single (scheme, cpus) config; "
-              "narrow --scheme/--cpus");
-    if (o.explainOn || !o.traceRaw.empty())
-        fatal("--explain/--trace-raw need a single (scheme, cpus) "
-              "config; narrow --scheme/--cpus");
-    if (o.timelineEpoch > 0 || o.progress)
-        fatal("--timeline-epoch/--progress need a single (scheme, "
-              "cpus) config; narrow --scheme/--cpus");
-    if (!o.statsPrefix.empty())
-        fatal("--stats needs a single (scheme, cpus) config; narrow "
-              "--scheme/--cpus");
+    // Flags that name one run's files or its terminal.
+    const std::pair<const char *, bool> perRunFlags[] = {
+        {"--trace-out", !o.traceOut.empty()},
+        {"--trace-raw", !o.traceRaw.empty()},
+        {"--trace-filter", !o.traceFilter.empty()},
+        {"--explain", o.explain.on},
+        {"--timeline-epoch", o.timelineEpoch > 0},
+        {"--timeline-out", !o.timelineOut.empty()},
+        {"--progress", o.progress},
+        {"--stats", !o.statsPrefix.empty()},
+        {"--report-dir", !o.reportDir.empty()},
+    };
+    for (const auto &[flag, given] : perRunFlags)
+        if (given)
+            fatal("%s needs a single (scheme, cpus) config; narrow "
+                  "--scheme/--cpus",
+                  flag);
     if (!o.statsJson.empty() && !o.metrics)
         fatal("--stats-json in a sweep requires --metrics (writes the "
               "per-scheme merged metrics document); narrow "
               "--scheme/--cpus for a raw counter dump");
-    if (!o.reportDir.empty())
-        fatal("--report-dir records one run bundle per invocation; "
-              "narrow --scheme/--cpus to a single config");
+    FILE *rpt = reportStream(o);
 
-    FILE *rpt = (o.statsJson == "-" || o.benchJson == "-") ? stderr
-                                                           : stdout;
-
-    std::vector<SweepTask> tasks;
     std::vector<ConfigRow> rows;
-    for (const std::string &ss : schemes) {
-        Scheme scheme = parseScheme(ss);
-        for (int cpus : cpusList) {
-            MachineParams mp = buildMachineParams(o, scheme, cpus);
-            Workload wl = buildWorkload(o, cpus,
-                                        schemeLockKind(scheme));
-            tasks.push_back({ss + "/p" + std::to_string(cpus),
-                             [mp, wl] {
+    for (const std::string &ss : schemes)
+        for (int cpus : cpusList)
+            rows.push_back({ss, cpus, {}, 0, false});
+    std::vector<SweepTask> tasks;
+    for (ConfigRow &row : rows) {
+        Scheme scheme = parseScheme(row.schemeStr);
+        MachineParams mp = buildMachineParams(o, scheme, row.cpus);
+        Workload wl = buildWorkload(o, row.cpus, schemeLockKind(scheme));
+        // runSweep leaves a throwing task at completed=false; the task
+        // records the throw so that it reads as failed, not as a
+        // watchdog timeout. Each task writes only its own row.
+        tasks.push_back({row.schemeStr + "/p" + std::to_string(row.cpus),
+                         [mp, wl, threw = &row.threw] {
+                             try {
                                  System sys(mp);
                                  return simulate(sys, wl);
-                             }});
-            rows.push_back({ss, cpus, {}, 0});
-        }
+                             } catch (...) {
+                                 *threw = true;
+                                 throw;
+                             }
+                         }});
     }
 
     unsigned jobs = o.jobs ? o.jobs : defaultJobs();
@@ -638,7 +584,6 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
 
     Table t({"scheme", "cpus", "completed", "valid", "cycles",
              "commits", "restarts", "wall(s)", "Mev/s"});
-    int exitCode = 0;
     for (size_t i = 0; i < res.size(); ++i) {
         rows[i].stats = res[i].stats;
         rows[i].wallSec = res[i].wallSeconds;
@@ -651,13 +596,10 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
                               res[i].wallSeconds :
                           0);
         t.addRow({rows[i].schemeStr, std::to_string(rows[i].cpus),
-                  r.completed ? "yes" : "NO", r.valid ? "yes" : "NO",
-                  Table::num(r.cycles), Table::num(r.commits),
-                  Table::num(r.restarts), wall, mevs});
-        if (!r.completed)
-            exitCode = 3;
-        else if (!r.valid && exitCode == 0)
-            exitCode = 2;
+                  rows[i].threw ? "FAILED" : r.completed ? "yes" : "NO",
+                  r.valid ? "yes" : "NO", Table::num(r.cycles),
+                  Table::num(r.commits), Table::num(r.restarts), wall,
+                  mevs});
     }
     std::fprintf(rpt, "%s", t.str().c_str());
     if (o.metrics) {
@@ -689,22 +631,24 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
                        (i + 1 < merged.size() ? "," : "") + "\n";
             }
             doc += "  }\n}\n";
-            writeTextArtifact(o.statsJson, doc, "stats");
+            writeArtifact("--stats-json", o.statsJson, doc);
         }
     }
     if (!o.benchJson.empty())
         writeBenchJson(o, rows);
-    return exitCode;
+    return exitStatus(rows);
 }
 
 /**
  * Fill @p o from the command line. @return -1 to go on and run, or the
  * exit status once --help, --version or an unknown flag has been
- * handled. A malformed numeric value throws std::invalid_argument.
+ * handled. A malformed value throws std::invalid_argument.
  */
 int
 parseArgs(int argc, char **argv, Options &o)
 {
+    using cli::parseFlag;
+    using cli::parseNumber;
     for (int i = 1; i < argc; ++i) {
         std::string v;
         const char *a = argv[i];
@@ -758,19 +702,7 @@ parseArgs(int argc, char **argv, Options &o)
         else if (parseFlag(a, "--trace-out", v)) o.traceOut = v;
         else if (parseFlag(a, "--trace-raw", v)) o.traceRaw = v;
         else if (parseFlag(a, "--trace-filter", v)) o.traceFilter = v;
-        else if (parseFlag(a, "--explain-dot", v)) {
-            o.explainOn = true;
-            o.explainDot = v;
-        }
-        else if (parseFlag(a, "--explain-json", v)) {
-            o.explainOn = true;
-            o.explainJson = v;
-        }
-        else if (parseFlag(a, "--explain", v)) {
-            o.explainOn = true;
-            o.explainMode = v;
-        }
-        else if (std::strcmp(a, "--explain") == 0) o.explainOn = true;
+        else if (cli::parseExplainFlag(a, o.explain)) continue;
         else if (parseFlag(a, "--trace-ring", v))
             o.ringCapacity = parseNumber<size_t>("trace-ring", v);
         else if (std::strcmp(a, "--check-invariants") == 0)
