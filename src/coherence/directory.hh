@@ -20,8 +20,6 @@
 #ifndef TLR_COHERENCE_DIRECTORY_HH
 #define TLR_COHERENCE_DIRECTORY_HH
 
-#include <deque>
-
 #include "coherence/interconnect.hh"
 #include "sim/flat_containers.hh"
 
@@ -54,7 +52,7 @@ class DirectoryInterconnect : public Interconnect
     void traceFwd(const BusRequest &req, CpuId dest, bool inval);
 
     AddrMap<Entry> entries_; ///< by line; process() inserts no other line
-    std::deque<BusRequest> queue_;
+    Ring<BusRequest> queue_;
     bool pumpScheduled_ = false;
 
     std::uint64_t &fwdSnoops_;

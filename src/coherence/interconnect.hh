@@ -27,11 +27,11 @@
 #ifndef TLR_COHERENCE_INTERCONNECT_HH
 #define TLR_COHERENCE_INTERCONNECT_HH
 
-#include <deque>
 #include <vector>
 
 #include "coherence/messages.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_containers.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/sink.hh"
@@ -143,7 +143,7 @@ class BroadcastInterconnect : public Interconnect
     void arbitrate();
     void deliver(BusRequest req);
 
-    std::vector<std::deque<BusRequest>> queues_;
+    std::vector<Ring<BusRequest>> queues_; ///< per requester, FIFO
     size_t rrNext_ = 0;
     bool arbScheduled_ = false;
 };

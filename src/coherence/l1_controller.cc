@@ -44,6 +44,44 @@ L1Controller::L1Controller(EventQueue &eq, StatSet &stats, CpuId id,
 }
 
 //
+// ---- MSHR table ---------------------------------------------------------
+//
+
+L1Controller::Mshr &
+L1Controller::MshrTable::insert(Addr line)
+{
+    if (free_.empty()) {
+        chunks_.push_back(std::make_unique<Mshr[]>(chunkSlots));
+        for (size_t i = chunkSlots; i-- > 0;)
+            free_.push_back(&chunks_.back()[i]);
+    }
+    Mshr *m = free_.back();
+    free_.pop_back();
+    // Reset every field but keep the waiter storage.
+    auto waiters = std::move(m->waiters);
+    waiters.clear();
+    *m = Mshr{};
+    m->waiters = std::move(waiters);
+    m->line = line;
+    auto pos = byLine_.begin();
+    while (pos != byLine_.end() && (*pos)->line < line)
+        ++pos;
+    byLine_.insert(pos, m);
+    return *m;
+}
+
+void
+L1Controller::MshrTable::unlink(const Mshr &m)
+{
+    for (auto it = byLine_.begin(); it != byLine_.end(); ++it) {
+        if (*it == &m) {
+            byLine_.erase(it);
+            return;
+        }
+    }
+}
+
+//
 // ---- lookup / replacement ---------------------------------------------
 //
 
@@ -58,6 +96,7 @@ L1Controller::findLine(Addr line_addr)
         CacheLine *slot = array_.allocateSlot(line_addr);
         if (slot && !isValidState(slot->state)) {
             *slot = *v;
+            array_.syncTag(*slot);
             victim_.erase(line_addr);
             return slot;
         }
@@ -82,7 +121,7 @@ L1Controller::holdsLineState(Addr line) const
     // promotion, and this predicate must be side-effect free: a
     // filtered snoop has to leave the cache exactly as it found it.
     const Addr la = lineAlign(line);
-    if (mshrs_.count(la))
+    if (mshrs_.find(la))
         return true;
     if (static_cast<const CacheArray &>(array_).find(la))
         return true;
@@ -98,6 +137,7 @@ L1Controller::evictLine(CacheLine &line)
             ++victimInserts_;
             line.state = CohState::Invalid;
             line.clearAccess();
+            array_.syncTag(line);
             return true;
         }
         // Victim cache full of transactional lines: the resource
@@ -115,6 +155,7 @@ L1Controller::evictLine(CacheLine &line)
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval,
                      id_, line.addr);
     line.invalidate();
+    array_.syncTag(line);
     return true;
 }
 
@@ -127,6 +168,7 @@ L1Controller::dropLine(CacheLine &line)
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInval, id_,
                      la);
     line.invalidate();
+    array_.syncTag(line);
     victim_.erase(la);
 }
 
@@ -152,6 +194,7 @@ L1Controller::installLine(Addr line_addr, const LineData &data,
     slot->data = data;
     slot->clearAccess();
     slot->pinned = false;
+    array_.syncTag(*slot);
     array_.touch(*slot, eq_.now());
     if (TLR_TRACE_ARMED(trace_))
         trace_->emit(eq_.now(), TraceComp::L1, TraceEvent::LineInstall,
@@ -172,17 +215,16 @@ L1Controller::respond(const CacheOp &op, std::uint64_t value)
                    EventPrio::DataResponse);
 }
 
-template <class Mshrs, class Fn>
+template <class Fn>
 bool
-L1Controller::anyHeldOff(Mshrs &mshrs, const Timestamp &mine, Fn &&fn)
+L1Controller::anyHeldOff(const Timestamp &mine, Fn &&fn) const
 {
-    for (auto &[la, m] : mshrs) {
-        (void)la;
-        if (!m.holdsSpecOp())
+    for (Mshr *m : mshrs_) {
+        if (!m->holdsSpecOp())
             continue;
-        for (const Waiter &w : m.waiters)
+        for (const Waiter &w : m->waiters)
             if (w.deferred && w.ts.valid && w.ts.earlierThan(mine) &&
-                fn(m, w))
+                fn(*m, w))
                 return true;
     }
     return false;
@@ -200,7 +242,7 @@ L1Controller::hasEarlierContender(Addr *line_out) const
     for (const auto &d : deferred_)
         if (d.ts.valid && d.ts.earlierThan(mine))
             return found(d.line);
-    if (anyHeldOff(mshrs_, mine, [&](const Mshr &m, const Waiter &) {
+    if (anyHeldOff(mine, [&](const Mshr &m, const Waiter &) {
             return found(m.line);
         }))
         return true;
@@ -210,8 +252,8 @@ L1Controller::hasEarlierContender(Addr *line_out) const
         const CacheLine *l = findLineConst(la);
         if (l && isOwnerState(l->state) && l->inTransaction())
             return found(la);
-        auto mit = mshrs_.find(la);
-        if (mit != mshrs_.end() && mit->second.holdsSpecOp())
+        const Mshr *m = mshrs_.find(la);
+        if (m && m->holdsSpecOp())
             return found(la);
     }
     return false;
@@ -223,7 +265,7 @@ L1Controller::forwardContenderProbes()
     // Push the priority of every held-off higher-priority contender
     // toward the data its chain is rooted at, so upstream holders
     // learn about it (paper Section 3.1.1).
-    anyHeldOff(mshrs_, hooks_.currentTs(), [this](Mshr &m, const Waiter &w) {
+    anyHeldOff(hooks_.currentTs(), [this](Mshr &m, const Waiter &w) {
         forwardProbe(m, w.ts);
         m.loseOnArrival = true;
         return false;
@@ -244,9 +286,13 @@ L1Controller::forwardProbe(Mshr &m, const Timestamp &ts)
 void
 L1Controller::keepProbeHint(Addr line_addr, const Timestamp &ts)
 {
-    auto it = probeHints_.find(line_addr);
-    if (it == probeHints_.end() || ts.earlierThan(it->second))
-        probeHints_[line_addr] = ts;
+    auto it = probeHints_.begin();
+    while (it != probeHints_.end() && it->first < line_addr)
+        ++it;
+    if (it == probeHints_.end() || it->first != line_addr)
+        probeHints_.insert(it, {line_addr, ts});
+    else if (ts.earlierThan(it->second))
+        it->second = ts;
     maybeArmYield();
 }
 
@@ -262,16 +308,16 @@ L1Controller::detectTwoCycle(Addr *line_out) const
         for (const auto &d : deferred_)
             if (d.cpu == c && d.ts.valid && d.ts.earlierThan(mine))
                 return true;
-        return anyHeldOff(mshrs_, mine, [c](const Mshr &, const Waiter &w) {
+        return anyHeldOff(mine, [c](const Mshr &, const Waiter &w) {
             return w.cpu == c;
         });
     };
-    for (const auto &[la, m] : mshrs_) {
-        if (!m.holdsSpecOp())
+    for (const Mshr *m : mshrs_) {
+        if (!m->holdsSpecOp())
             continue;
-        if (m.markerFrom != invalidCpu && waitsOnUs(m.markerFrom)) {
+        if (m->markerFrom != invalidCpu && waitsOnUs(m->markerFrom)) {
             if (line_out)
-                *line_out = la;
+                *line_out = m->line;
             return true;
         }
     }
@@ -368,12 +414,10 @@ L1Controller::missIssue(const CacheOp &op, ReqType type)
     ++misses_;
     if (type == ReqType::Upgrade)
         ++upgrades_;
-    Mshr m;
+    Mshr &m = mshrs_.insert(la);
     m.type = type;
-    m.line = la;
     m.spec = op.spec;
     m.op = op;
-    mshrs_.emplace(la, std::move(m));
     Timestamp ts = op.spec ? hooks_.currentTs() : Timestamp{};
     net_.submit({type, la, id_, ts, 0});
     if (op.spec)
@@ -384,17 +428,16 @@ void
 L1Controller::access(const CacheOp &op)
 {
     Addr la = lineAlign(op.addr);
-    auto mit = mshrs_.find(la);
-    if (mit != mshrs_.end()) {
+    if (Mshr *m = mshrs_.find(la)) {
         // A restart re-issued an access to a line whose miss (from the
         // squashed attempt) is still in flight: complete it afterwards.
         // Queueing is a wait, so the same yield rules apply.
         if (yieldBeforeWaiting(la, op.spec))
             return;
-        if (mit->second.queuedOp)
+        if (m->queuedOp)
             panic("l1 %d: two queued ops for line %#llx", id_,
                   static_cast<unsigned long long>(la));
-        mit->second.queuedOp = op;
+        m->queuedOp = op;
         return;
     }
 
@@ -513,9 +556,8 @@ std::uint64_t
 L1Controller::deferredDepth() const
 {
     std::uint64_t n = deferred_.size();
-    for (const auto &[la, m] : mshrs_) {
-        (void)la;
-        for (const Waiter &w : m.waiters)
+    for (const Mshr *m : mshrs_) {
+        for (const Waiter &w : m->waiters)
             if (w.deferred)
                 ++n;
     }
@@ -706,9 +748,9 @@ L1Controller::snoop(const BusRequest &req)
     SnoopReply reply;
     Addr la = req.line;
 
-    auto mit = mshrs_.find(la);
-    if (mit != mshrs_.end() && mit->second.ordered) {
-        Mshr &m = mit->second;
+    Mshr *mp = mshrs_.find(la);
+    if (mp && mp->ordered) {
+        Mshr &m = *mp;
         if (m.isExclusive() && !m.ownershipPassed) {
             // We are the protocol owner even though data has not
             // arrived: record the request in the ownership chain.
@@ -777,11 +819,11 @@ L1Controller::snoop(const BusRequest &req)
 void
 L1Controller::ownRequestOrdered(const BusRequest &req)
 {
-    auto it = mshrs_.find(req.line);
-    if (it == mshrs_.end())
+    Mshr *mp = mshrs_.find(req.line);
+    if (!mp)
         panic("l1 %d: ordered request without MSHR line=%#llx", id_,
               static_cast<unsigned long long>(req.line));
-    Mshr &m = it->second;
+    Mshr &m = *mp;
 
     if (req.type == ReqType::Upgrade) {
         CacheLine *l = findLine(req.line);
@@ -794,13 +836,15 @@ L1Controller::ownRequestOrdered(const BusRequest &req)
             if (TLR_TRACE_ARMED(trace_))
                 trace_->emit(eq_.now(), TraceComp::L1,
                              TraceEvent::LineUpgrade, id_, req.line);
-            Mshr done = std::move(m);
-            mshrs_.erase(it);
-            if (done.op)
-                perform(*done.op, l, l->data);
-            if (done.op && done.op->spec)
+            // Retired before completing: a nested access to the line
+            // misses afresh.
+            mshrs_.unlink(m);
+            if (m.op)
+                perform(*m.op, l, l->data);
+            if (m.op && m.op->spec)
                 hooks_.specMshrDrained(req.line);
-            reissueQueued(done);
+            reissueQueued(m);
+            mshrs_.release(m);
             return;
         }
         // Invalidated while the upgrade was in flight: reissue as GetX.
@@ -820,12 +864,14 @@ L1Controller::ownRequestOrdered(const BusRequest &req)
 void
 L1Controller::dataResponse(const DataMsg &msg)
 {
-    auto it = mshrs_.find(msg.line);
-    if (it == mshrs_.end())
+    Mshr *mp = mshrs_.find(msg.line);
+    if (!mp)
         panic("l1 %d: data without MSHR line=%#llx", id_,
               static_cast<unsigned long long>(msg.line));
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    // Retired before completing: a nested access to the line misses
+    // afresh. The slot is released at the end.
+    Mshr &m = *mp;
+    mshrs_.unlink(m);
 
     CacheLine *l = nullptr;
     if (msg.grant == Grant::DontInstall || m.invalidateOnArrival) {
@@ -871,6 +917,7 @@ L1Controller::dataResponse(const DataMsg &msg)
                      id_, 0, deferredDepth());
 
     reissueQueued(m);
+    mshrs_.release(m);
     if (hooks_.specActive())
         maybeArmYield();
 }
@@ -898,10 +945,10 @@ L1Controller::serviceWaiter(const Waiter &w, Addr line_addr,
 void
 L1Controller::marker(const MarkerMsg &msg)
 {
-    auto it = mshrs_.find(msg.line);
-    if (it == mshrs_.end())
+    Mshr *mp = mshrs_.find(msg.line);
+    if (!mp)
         return; // the miss already completed; marker is stale
-    Mshr &m = it->second;
+    Mshr &m = *mp;
     m.markerFrom = msg.from;
     if (m.pendingProbe) {
         net_.sendProbe(m.markerFrom, {msg.line, *m.pendingProbe, id_});
@@ -946,10 +993,9 @@ L1Controller::probe(const ProbeMsg &msg)
     }
 
     // Case 2: pending owner in the chain: forward upstream.
-    auto it = mshrs_.find(la);
-    if (it != mshrs_.end() && it->second.ordered &&
-        it->second.isExclusive()) {
-        Mshr &m = it->second;
+    Mshr *mp = mshrs_.find(la);
+    if (mp && mp->ordered && mp->isExclusive()) {
+        Mshr &m = *mp;
         forwardProbe(m, msg.ts);
         if (m.spec && m.op && hooks_.specActive() &&
             !winsConflict(msg.ts)) {
@@ -1036,18 +1082,18 @@ L1Controller::checkBoundaryClear() const
 void
 L1Controller::commitTransaction(const WriteBuffer &wb)
 {
-    for (const auto &[la, entry] : wb.entries()) {
-        CacheLine *l = findLine(la);
+    for (const WriteBuffer::Entry &e : wb.entries()) {
+        CacheLine *l = findLine(e.line);
         if (!l || !isWritableState(l->state))
             panic("l1 %d: commit without writable line %#llx", id_,
-                  static_cast<unsigned long long>(la));
+                  static_cast<unsigned long long>(e.line));
         for (unsigned w = 0; w < wordsPerLine; ++w)
-            if (entry.mask & (1u << w)) {
-                l->data[w] = entry.words[w];
+            if (e.mask & (1u << w)) {
+                l->data[w] = e.words[w];
                 if (TLR_TRACE_ARMED(trace_))
                     trace_->emit(eq_.now(), TraceComp::L1,
-                                 TraceEvent::TxnWrite, id_, la + 8 * w,
-                                 entry.words[w]);
+                                 TraceEvent::TxnWrite, id_,
+                                 e.line + 8 * w, e.words[w]);
             }
         l->state = CohState::Modified;
     }
@@ -1057,12 +1103,11 @@ L1Controller::commitTransaction(const WriteBuffer &wb)
 void
 L1Controller::abortTransaction()
 {
-    for (auto &[la, m] : mshrs_) {
-        (void)la;
-        if (m.op && m.op->spec)
-            m.op.reset();
-        if (m.queuedOp && m.queuedOp->spec)
-            m.queuedOp.reset();
+    for (Mshr *m : mshrs_) {
+        if (m->op && m->op->spec)
+            m->op.reset();
+        if (m->queuedOp && m->queuedOp->spec)
+            m->queuedOp.reset();
     }
     endTransaction(/*at_commit=*/false);
 }
@@ -1104,11 +1149,9 @@ unsigned
 L1Controller::outstandingSpecMisses() const
 {
     unsigned n = 0;
-    for (const auto &[la, m] : mshrs_) {
-        (void)la;
-        if (m.holdsSpecOp())
+    for (const Mshr *m : mshrs_)
+        if (m->holdsSpecOp())
             ++n;
-    }
     return n;
 }
 
@@ -1177,11 +1220,12 @@ std::string
 L1Controller::debugState() const
 {
     std::string out;
-    for (const auto &[la, m] : mshrs_) {
+    for (const Mshr *mp : mshrs_) {
+        const Mshr &m = *mp;
         out += strfmt("  l1 %d MSHR line=%#llx %s ordered=%d spec=%d "
                       "op=%d queued=%d lose=%d ownPassed=%d marker=%d "
                       "waiters=[",
-                      id_, static_cast<unsigned long long>(la),
+                      id_, static_cast<unsigned long long>(m.line),
                       reqTypeName(m.type), m.ordered ? 1 : 0,
                       m.spec ? 1 : 0, m.op ? 1 : 0, m.queuedOp ? 1 : 0,
                       m.loseOnArrival ? 1 : 0, m.ownershipPassed ? 1 : 0,

@@ -19,9 +19,9 @@
 #ifndef TLR_COHERENCE_L1_CONTROLLER_HH
 #define TLR_COHERENCE_L1_CONTROLLER_HH
 
-#include <deque>
-#include <map>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "coherence/interconnect.hh"
@@ -32,6 +32,7 @@
 #include "mem/victim_cache.hh"
 #include "mem/write_buffer.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_containers.hh"
 #include "sim/stats.hh"
 #include "trace/sink.hh"
 
@@ -144,7 +145,10 @@ class L1Controller : public Snooper
         bool loseOnArrival = false;       ///< forward data, self aborted
         std::optional<CacheOp> op;        ///< op that triggered the miss
         std::optional<CacheOp> queuedOp;  ///< op re-issued post-restart
-        std::vector<Waiter> waiters;
+        /** Requests recorded at this pending owner: at most one per
+         *  other cpu, so an 8-cpu machine's fit inline. Past that the
+         *  storage moves to the heap and stays with the slot. */
+        InlineVec<Waiter, 7> waiters;
         bool ownershipPassed = false;     ///< a GetX waiter was recorded
         CpuId markerFrom = invalidCpu;    ///< upstream chain neighbor
         std::optional<Timestamp> pendingProbe;
@@ -159,6 +163,46 @@ class L1Controller : public Snooper
         {
             return (op && op->spec) || (queuedOp && queuedOp->spec);
         }
+    };
+
+    /**
+     * The outstanding misses, one per line. Slots come from a pool of
+     * fixed chunks and never move, so a Mshr & stays valid across
+     * inserts, and a released slot (with its waiter storage) serves
+     * the next miss. Iteration follows an index sorted by line: probe
+     * send order and the line a yield reports depend on ascending
+     * line order. A controller has a few misses open at a time, so
+     * lookup scans that index.
+     */
+    class MshrTable
+    {
+      public:
+        Mshr *
+        find(Addr line) const
+        {
+            for (Mshr *m : byLine_) {
+                if (m->line >= line)
+                    return m->line == line ? m : nullptr;
+            }
+            return nullptr;
+        }
+
+        /** A fresh MSHR for @p line, which has none. */
+        Mshr &insert(Addr line);
+
+        /** Take @p m out of the index: find() and iteration no longer
+         *  see it, but it stays readable until release(). */
+        void unlink(const Mshr &m);
+        void release(Mshr &m) { free_.push_back(&m); }
+
+        auto begin() const { return byLine_.begin(); }
+        auto end() const { return byLine_.end(); }
+
+      private:
+        static constexpr size_t chunkSlots = 8;
+        std::vector<std::unique_ptr<Mshr[]>> chunks_;
+        std::vector<Mshr *> free_;
+        std::vector<Mshr *> byLine_; ///< linked slots, ascending line
     };
 
     struct DeferredReq
@@ -188,8 +232,8 @@ class L1Controller : public Snooper
     /** Visit each chain waiter we hold off that outranks @p mine,
      *  behind a miss of the running transaction, until @p fn returns
      *  true; return whether it did. */
-    template <class Mshrs, class Fn>
-    static bool anyHeldOff(Mshrs &mshrs, const Timestamp &mine, Fn &&fn);
+    template <class Fn>
+    bool anyHeldOff(const Timestamp &mine, Fn &&fn) const;
     bool hasEarlierContender(Addr *line_out = nullptr) const;
     bool detectTwoCycle(Addr *line_out = nullptr) const;
     void forwardContenderProbes();
@@ -240,8 +284,8 @@ class L1Controller : public Snooper
 
     CacheArray array_;
     VictimCache victim_;
-    std::map<Addr, Mshr> mshrs_;
-    std::deque<DeferredReq> deferred_;
+    MshrTable mshrs_;
+    Ring<DeferredReq> deferred_;
 
     /** Transaction footprint: the address of every line whose access
      *  bits went from clear to set (txnLines_) or that a deferral
@@ -258,8 +302,9 @@ class L1Controller : public Snooper
      *  its priority information: if this transaction later waits for
      *  anything, the remembered contender wins (paper Section 3.2:
      *  "the timestamp order must be enforced" once another block is
-     *  accessed). Cleared when the deferred queue drains. */
-    std::map<Addr, Timestamp> probeHints_;
+     *  accessed). Cleared when the deferred queue drains. Sorted by
+     *  line: hasEarlierContender() reports the lowest hinted line. */
+    std::vector<std::pair<Addr, Timestamp>> probeHints_;
 
     bool linkValid_ = false;
     Addr linkLine_ = 0;

@@ -37,7 +37,7 @@ BackingStore::accessL2(Addr line_addr)
     if (l2Capacity_ == 0)
         return false;
     Addr line = lineAlign(line_addr);
-    bool hit = l2Present_.count(line) != 0;
+    bool hit = l2Present_.contains(line);
     if (!hit) {
         if (l2Present_.size() >= l2Capacity_)
             l2Present_.clear();

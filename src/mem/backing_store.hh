@@ -13,9 +13,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "mem/line.hh"
+#include "sim/flat_containers.hh"
 #include "sim/types.hh"
 
 namespace tlr
@@ -51,7 +51,7 @@ class BackingStore
   private:
     std::uint64_t l2Capacity_;
     std::unordered_map<Addr, LineData> lines_;
-    std::unordered_set<Addr> l2Present_;
+    FlatSet<Addr> l2Present_;
 };
 
 } // namespace tlr

@@ -1,5 +1,8 @@
 #include "mem/cache_array.hh"
 
+#include <algorithm>
+#include <functional>
+
 #include "sim/logging.hh"
 
 namespace tlr
@@ -26,39 +29,37 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways)
     if (!isPow2(numSets_))
         fatal("cache set count %u not a power of two", numSets_);
     sets_.resize(numSets_);
+    const size_t n = static_cast<size_t>(numSets_) * ways_;
+    tags_.reset(static_cast<Addr *>(
+        ::operator new[](n * sizeof(Addr), std::align_val_t{64})));
+    std::fill_n(tags_.get(), n, noTag);
 }
 
-CacheLine *
-CacheArray::find(Addr line_addr)
+void
+CacheArray::syncTag(const CacheLine &line)
 {
-    CacheLine *base = sets_[setIndex(line_addr)].get();
-    if (!base)
-        return nullptr;
-    for (unsigned w = 0; w < ways_; ++w) {
-        CacheLine &l = base[w];
-        if (isValidState(l.state) && l.addr == line_addr)
-            return &l;
-    }
-    return nullptr;
-}
-
-const CacheLine *
-CacheArray::find(Addr line_addr) const
-{
-    return const_cast<CacheArray *>(this)->find(line_addr);
+    const unsigned set = setIndex(line.addr);
+    const CacheLine *base = sets_[set].get();
+    const std::less<const CacheLine *> below;
+    if (!base || below(&line, base) || !below(&line, base + ways_))
+        return;
+    tags_[static_cast<size_t>(set) * ways_ +
+          static_cast<size_t>(&line - base)] =
+        isValidState(line.state) ? line.addr : noTag;
 }
 
 CacheLine *
 CacheArray::allocateSlot(Addr line_addr)
 {
-    std::unique_ptr<CacheLine[]> &set = sets_[setIndex(line_addr)];
-    if (!set)
-        set = std::make_unique<CacheLine[]>(ways_);
-    CacheLine *base = set.get();
+    const unsigned set = setIndex(line_addr);
+    std::unique_ptr<CacheLine[]> &lines = sets_[set];
+    if (!lines)
+        lines = std::make_unique<CacheLine[]>(ways_);
+    const Addr *tags = &tags_[static_cast<size_t>(set) * ways_];
     CacheLine *victim = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
-        CacheLine &l = base[w];
-        if (!isValidState(l.state))
+        CacheLine &l = lines[w];
+        if (tags[w] == noTag)
             return &l;
         if (l.pinned)
             continue;

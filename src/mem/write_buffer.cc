@@ -6,29 +6,31 @@ namespace tlr
 bool
 WriteBuffer::write(Addr addr, std::uint64_t value)
 {
-    Addr line = lineAlign(addr);
-    auto it = entries_.find(line);
-    if (it == entries_.end()) {
+    const Addr line = lineAlign(addr);
+    auto it = entries_.begin();
+    while (it != entries_.end() && it->line < line)
+        ++it;
+    if (it == entries_.end() || it->line != line) {
         if (entries_.size() >= capacity_)
             return false;
-        it = entries_.emplace(line, Entry{}).first;
+        it = entries_.insert(it, Entry{line, 0, {}});
     }
     unsigned w = wordIndex(addr);
-    it->second.mask |= 1u << w;
-    it->second.words[w] = value;
+    it->mask |= 1u << w;
+    it->words[w] = value;
     return true;
 }
 
 std::optional<std::uint64_t>
 WriteBuffer::read(Addr addr) const
 {
-    auto it = entries_.find(lineAlign(addr));
-    if (it == entries_.end())
+    const Entry *e = find(lineAlign(addr));
+    if (!e)
         return std::nullopt;
     unsigned w = wordIndex(addr);
-    if (!(it->second.mask & (1u << w)))
+    if (!(e->mask & (1u << w)))
         return std::nullopt;
-    return it->second.words[w];
+    return e->words[w];
 }
 
 } // namespace tlr

@@ -13,8 +13,8 @@
 #define TLR_MEM_WRITE_BUFFER_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "mem/line.hh"
 #include "sim/types.hh"
@@ -27,6 +27,7 @@ class WriteBuffer
   public:
     struct Entry
     {
+        Addr line = 0;          ///< line address
         std::uint32_t mask = 0; ///< bit i set => word i written
         LineData words{};
     };
@@ -44,18 +45,33 @@ class WriteBuffer
 
     bool containsLine(Addr line_addr) const
     {
-        return entries_.count(lineAlign(line_addr)) != 0;
+        return find(lineAlign(line_addr)) != nullptr;
     }
 
-    const std::map<Addr, Entry> &entries() const { return entries_; }
+    /** The buffered lines in ascending address order: commit writes
+     *  and traces them in that order. */
+    const std::vector<Entry> &entries() const { return entries_; }
     size_t lineCount() const { return entries_.size(); }
     unsigned capacity() const { return capacity_; }
 
+    /** Empty the buffer; the entry storage is kept for the next
+     *  transaction. */
     void clear() { entries_.clear(); }
 
   private:
+    /** The entry for @p line, or null. A transaction writes a handful
+     *  of lines, so a scan beats any index. */
+    const Entry *
+    find(Addr line) const
+    {
+        for (const Entry &e : entries_)
+            if (e.line == line)
+                return &e;
+        return nullptr;
+    }
+
     unsigned capacity_;
-    std::map<Addr, Entry> entries_; ///< keyed by line address
+    std::vector<Entry> entries_; ///< sorted by line address
 };
 
 } // namespace tlr

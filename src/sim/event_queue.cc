@@ -39,7 +39,7 @@ EventQueue::growPool()
 void
 EventQueue::pushFar(EventNode *n)
 {
-    farHeap_.push_back(n);
+    farHeap_.push_back(farEntry(n));
     std::push_heap(farHeap_.begin(), farHeap_.end(), FarLater{});
     ++kstats_.farEvents;
 }
@@ -51,9 +51,9 @@ void
 EventQueue::migrateFar()
 {
     while (!farHeap_.empty() &&
-           farHeap_.front()->when - windowBase_ < wheelSlots) {
+           farHeap_.front().when - windowBase_ < wheelSlots) {
         std::pop_heap(farHeap_.begin(), farHeap_.end(), FarLater{});
-        EventNode *n = farHeap_.back();
+        EventNode *n = farHeap_.back().node;
         farHeap_.pop_back();
         pushWheel(n);
     }
@@ -83,19 +83,20 @@ EventQueue::drainBucket(Bucket &b, Fn &&fn)
 void
 EventQueue::rebase(Tick newBase)
 {
-    std::vector<EventNode *> pending;
+    std::vector<FarEntry> pending;
     pending.reserve(wheelCount_);
     for (Bucket &b : wheel_)
-        drainBucket(b, [&](EventNode *n) { pending.push_back(n); });
+        drainBucket(b, [&](EventNode *n) { pending.push_back(farEntry(n)); });
     std::fill(std::begin(slotOcc_), std::end(slotOcc_), 0);
     wheelCount_ = 0;
     windowBase_ = newBase;
     // Reinsert in (when, prio, seq) order so FIFO lists stay sorted.
     std::sort(pending.begin(), pending.end(),
-              [](const EventNode *a, const EventNode *b) {
+              [](const FarEntry &a, const FarEntry &b) {
                   return FarLater{}(b, a);
               });
-    for (EventNode *n : pending) {
+    for (const FarEntry &e : pending) {
+        EventNode *n = e.node;
         if (n->when - windowBase_ < wheelSlots)
             pushWheel(n);
         else
@@ -113,7 +114,7 @@ EventQueue::advance()
     constexpr std::size_t mask = wheelSlots - 1;
     if (wheelCount_ == 0) {
         // Everything pending is beyond the window: jump to it.
-        windowBase_ = farHeap_.front()->when;
+        windowBase_ = farHeap_.front().when;
         migrateFar();
         return static_cast<std::size_t>(windowBase_) & mask;
     }
@@ -135,7 +136,7 @@ EventQueue::advance()
         w * 64 + static_cast<std::size_t>(std::countr_zero(word));
     windowBase_ += (slot - start) & mask;
     if (!farHeap_.empty() &&
-        farHeap_.front()->when - windowBase_ < wheelSlots)
+        farHeap_.front().when - windowBase_ < wheelSlots)
         migrateFar();
     return slot;
 }
@@ -227,8 +228,8 @@ EventQueue::reset()
     for (Bucket &b : wheel_)
         drainBucket(b, drop);
     std::fill(std::begin(slotOcc_), std::end(slotOcc_), 0);
-    for (EventNode *n : farHeap_)
-        drop(n);
+    for (const FarEntry &e : farHeap_)
+        drop(e.node);
     farHeap_.clear();
     wheelCount_ = 0;
     size_ = 0;

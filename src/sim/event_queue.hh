@@ -207,18 +207,35 @@ class EventQueue
         unsigned occ; ///< bitmask of non-empty priority lists
     };
 
+    /** A far-out event with its order key held by value, so heap
+     *  sifts compare entries without loading a node. */
+    struct FarEntry
+    {
+        Tick when;
+        std::uint64_t key; ///< prio << seqBits | seq
+        EventNode *node;
+    };
+
+    /** seq fits below the priority in FarEntry::key: 2^56 events is
+     *  centuries of host time. */
+    static constexpr unsigned seqBits = 56;
+
+    static FarEntry
+    farEntry(EventNode *n)
+    {
+        return {n->when, std::uint64_t{n->prio} << seqBits | n->seq, n};
+    }
+
     /** Heap order for far-out events: earliest (when, prio, seq) at
      *  the front of farHeap_. */
     struct FarLater
     {
         bool
-        operator()(const EventNode *a, const EventNode *b) const
+        operator()(const FarEntry &a, const FarEntry &b) const
         {
-            if (a->when != b->when)
-                return a->when > b->when;
-            if (a->prio != b->prio)
-                return a->prio > b->prio;
-            return a->seq > b->seq;
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.key > b.key;
         }
     };
 
@@ -303,7 +320,7 @@ class EventQueue
      *  the window migrates the ones it now covers, so a wheel list
      *  never holds an event scheduled after a same-(tick, prio) event
      *  still waiting in the heap. */
-    std::vector<EventNode *> farHeap_;
+    std::vector<FarEntry> farHeap_;
     Tick windowBase_ = 0; ///< wheel covers [windowBase_, +wheelSlots)
     std::size_t wheelCount_ = 0;
     std::size_t size_ = 0;

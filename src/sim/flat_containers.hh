@@ -3,18 +3,20 @@
  * Flat containers for per-cpu, per-line and per-access state.
  *
  * The trace listeners look up per-cpu, per-line and per-word state on
- * every record, and the speculation engine, the lock classifier and
- * the directory do the same on every memory access. Node-based maps
- * and sets pay an allocation per new key and a pointer chase per
- * lookup; the containers here keep that state in flat arrays that
- * stop growing once a run's cpus and footprint have been seen, so the
- * steady-state path allocates nothing.
+ * every record, and the speculation engine, the lock classifier, the
+ * directory and the L1's pending-request queues do the same on every
+ * memory access or miss. Node-based maps and sets pay an allocation
+ * per new key and a pointer chase per lookup; the containers here
+ * keep that state in flat arrays that stop growing once a run's cpus
+ * and footprint have been seen, so the steady-state path allocates
+ * nothing.
  */
 
 #ifndef TLR_SIM_FLAT_CONTAINERS_HH
 #define TLR_SIM_FLAT_CONTAINERS_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -156,10 +158,12 @@ class AddrMap
 };
 
 /**
- * Set of keys in a sorted vector: for the small sets looked up on
- * every access (a cpu's synchronization lines, the lock lines of a
- * workload), where a binary search over contiguous keys beats a tree
- * and inserts are rare after warm-up.
+ * Set of 64-bit keys in an open-addressing table: for the sets looked
+ * up on every access (a cpu's synchronization lines, the lock lines of
+ * a workload). Insert and lookup are amortised O(1): keys are probed
+ * linearly from a Fibonacci hash, and the table doubles when half
+ * full. The all-ones key is reserved as the empty-slot marker, and
+ * clear() costs nothing on an empty set.
  */
 template <typename T>
 class FlatSet
@@ -168,22 +172,189 @@ class FlatSet
     void
     insert(const T &key)
     {
-        auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-        if (it == keys_.end() || *it != key)
-            keys_.insert(it, key);
+        assert(key != emptyKey);
+        if (2 * (size_ + 1) > slots_.size())
+            grow();
+        for (size_t i = home(key);; i = (i + 1) & mask_) {
+            if (slots_[i] == key)
+                return;
+            if (slots_[i] == emptyKey) {
+                slots_[i] = key;
+                ++size_;
+                return;
+            }
+        }
     }
 
     bool
     contains(const T &key) const
     {
-        return std::binary_search(keys_.begin(), keys_.end(), key);
+        if (size_ == 0)
+            return false;
+        for (size_t i = home(key);; i = (i + 1) & mask_) {
+            if (slots_[i] == key)
+                return true;
+            if (slots_[i] == emptyKey)
+                return false;
+        }
     }
 
-    void clear() { keys_.clear(); }
-    size_t size() const { return keys_.size(); }
+    void
+    clear()
+    {
+        if (size_ == 0)
+            return;
+        std::fill(slots_.begin(), slots_.end(), emptyKey);
+        size_ = 0;
+    }
+
+    size_t size() const { return size_; }
 
   private:
-    std::vector<T> keys_;
+    static constexpr T emptyKey = ~T{0};
+
+    size_t
+    home(const T &key) const
+    {
+        return static_cast<size_t>(
+            (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ull) >>
+            shift_);
+    }
+
+    void
+    grow()
+    {
+        std::vector<T> old = std::move(slots_);
+        const size_t cap = old.empty() ? 16 : 2 * old.size();
+        slots_.assign(cap, emptyKey);
+        mask_ = cap - 1;
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
+        size_ = 0;
+        for (const T &k : old) {
+            if (k != emptyKey)
+                insert(k);
+        }
+    }
+
+    std::vector<T> slots_;
+    size_t size_ = 0;
+    size_t mask_ = 0;
+    unsigned shift_ = 64;
+};
+
+/**
+ * FIFO queue in a power-of-two ring that doubles when full and never
+ * shrinks, so a queue that has reached its peak depth allocates no
+ * more. Iteration runs from the front (oldest) to the back.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    void
+    push_back(const T &v)
+    {
+        if (size_ == buf_.size())
+            grow();
+        buf_[(head_ + size_) & (buf_.size() - 1)] = v;
+        ++size_;
+    }
+
+    const T &front() const { return buf_[head_]; }
+
+    void
+    pop_front()
+    {
+        assert(size_ > 0);
+        head_ = (head_ + 1) & (buf_.size() - 1);
+        --size_;
+    }
+
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+
+    const T &
+    operator[](size_t i) const
+    {
+        return buf_[(head_ + i) & (buf_.size() - 1)];
+    }
+
+    class const_iterator
+    {
+      public:
+        const_iterator(const Ring *r, size_t i) : r_(r), i_(i) {}
+        const T &operator*() const { return (*r_)[i_]; }
+        const_iterator &
+        operator++()
+        {
+            ++i_;
+            return *this;
+        }
+        bool operator!=(const const_iterator &o) const { return i_ != o.i_; }
+
+      private:
+        const Ring *r_;
+        size_t i_;
+    };
+
+    const_iterator begin() const { return {this, 0}; }
+    const_iterator end() const { return {this, size_}; }
+
+  private:
+    void
+    grow()
+    {
+        std::vector<T> next(buf_.empty() ? 8 : 2 * buf_.size());
+        for (size_t i = 0; i < size_; ++i)
+            next[i] = (*this)[i];
+        buf_ = std::move(next);
+        head_ = 0;
+    }
+
+    std::vector<T> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+};
+
+/**
+ * Vector whose first N elements live inline. Past N, the elements move
+ * to a heap vector that keeps its capacity through clear(), so a
+ * reused InlineVec that once spilled allocates no more.
+ */
+template <typename T, size_t N>
+class InlineVec
+{
+  public:
+    void
+    push_back(const T &v)
+    {
+        if (size_ < N) {
+            inline_[size_] = v;
+        } else {
+            if (size_ == N)
+                heap_.assign(inline_.begin(), inline_.end());
+            heap_.push_back(v);
+        }
+        ++size_;
+    }
+
+    void
+    clear()
+    {
+        size_ = 0;
+        heap_.clear();
+    }
+
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+
+    const T *begin() const { return size_ > N ? heap_.data() : inline_.data(); }
+    const T *end() const { return begin() + size_; }
+
+  private:
+    std::array<T, N> inline_{};
+    std::vector<T> heap_;
+    size_t size_ = 0;
 };
 
 /**

@@ -32,23 +32,30 @@ Addr
 Layout::allocLock()
 {
     Addr a = allocLine();
-    lockLines_.insert(lineAlign(a));
+    addLockLine(lineAlign(a));
     return a;
 }
 
 void
 Layout::registerSyncAddr(Addr addr)
 {
-    lockLines_.insert(lineAlign(addr));
+    addLockLine(lineAlign(addr));
+}
+
+void
+Layout::addLockLine(Addr line)
+{
+    if (lockLines_.use_count() > 1)
+        lockLines_ = std::make_shared<FlatSet<Addr>>(*lockLines_);
+    lockLines_->insert(line);
 }
 
 std::function<bool(Addr)>
 Layout::classifier() const
 {
-    // Copy: the classifier may outlive the layout.
-    return [lines = lockLines_](Addr a) {
-        return lines.contains(lineAlign(a));
-    };
+    // Shared ownership: the classifier may outlive the layout.
+    return [lines = std::shared_ptr<const FlatSet<Addr>>(lockLines_)](
+               Addr a) { return lines->contains(lineAlign(a)); };
 }
 
 } // namespace tlr

@@ -12,6 +12,7 @@
 #define TLR_SYNC_LAYOUT_HH
 
 #include <functional>
+#include <memory>
 
 #include "sim/flat_containers.hh"
 #include "sim/types.hh"
@@ -42,15 +43,22 @@ class Layout
 
     bool isLockAddr(Addr addr) const
     {
-        return lockLines_.contains(lineAlign(addr));
+        return lockLines_->contains(lineAlign(addr));
     }
 
-    /** Classifier suitable for Core::setLockClassifier. */
+    /** Classifier suitable for Core::setLockClassifier: a snapshot of
+     *  the lock lines registered so far. Every copy of it shares one
+     *  table. */
     std::function<bool(Addr)> classifier() const;
 
   private:
+    void addLockLine(Addr line);
+
     Addr next_;
-    FlatSet<Addr> lockLines_;
+    /** Shared with the classifiers handed out; a registration after
+     *  one was handed out copies the table first. */
+    std::shared_ptr<FlatSet<Addr>> lockLines_ =
+        std::make_shared<FlatSet<Addr>>();
 };
 
 } // namespace tlr

@@ -258,8 +258,9 @@ TEST(DbWorkloads, AbortProfileRisesWithTheta)
     for (double theta : {0.0, 0.6, 0.99}) {
         RunStats r = runTlrWithMetrics(makeOrderedIndex, theta);
         ASSERT_TRUE(r.valid);
-        if (!first)
+        if (!first) {
             EXPECT_GT(r.restarts, prevRestarts) << "theta " << theta;
+        }
         prevRestarts = r.restarts;
         first = false;
     }
@@ -271,8 +272,9 @@ TEST(DbWorkloads, AbortProfileRisesWithTheta)
         ASSERT_TRUE(r.valid);
         ASSERT_TRUE(r.metrics != nullptr);
         std::uint64_t hot = r.metrics->hottestLock().second;
-        if (!first)
+        if (!first) {
             EXPECT_GT(hot, prevHot) << "theta " << theta;
+        }
         prevHot = hot;
         first = false;
     }
@@ -282,8 +284,9 @@ TEST(DbWorkloads, AbortProfileRisesWithTheta)
     for (double theta : {0.0, 0.6, 0.99}) {
         RunStats r = runTlrWithMetrics(makeTpccLite, theta);
         ASSERT_TRUE(r.valid);
-        if (!first)
+        if (!first) {
             EXPECT_GT(r.defers, prevDefers) << "theta " << theta;
+        }
         prevDefers = r.defers;
         first = false;
     }

@@ -30,11 +30,20 @@ TEST(CacheArray, FindAfterInstall)
     slot->addr = a;
     slot->state = CohState::Shared;
     slot->data[3] = 99;
+    EXPECT_EQ(c.find(a), nullptr); // the tag array has not heard of it
+    c.syncTag(*slot);
     CacheLine *found = c.find(a);
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->data[3], 99u);
     EXPECT_EQ(c.find(0x2000), nullptr);
     EXPECT_EQ(c.find(0x1040), nullptr); // a set that never held a line
+    CacheLine copy = *slot; // outside the array: ignored
+    copy.invalidate();
+    c.syncTag(copy);
+    EXPECT_EQ(c.find(a), found);
+    slot->invalidate();
+    c.syncTag(*slot);
+    EXPECT_EQ(c.find(a), nullptr);
 }
 
 TEST(CacheArray, LruVictimSelection)
@@ -47,6 +56,7 @@ TEST(CacheArray, LruVictimSelection)
         CacheLine *s = c.allocateSlot(a);
         s->addr = a;
         s->state = CohState::Shared;
+        c.syncTag(*s);
         c.touch(*s, use);
         return s;
     };
@@ -65,6 +75,7 @@ TEST(CacheArray, PinnedLinesAreNotEvicted)
         s->addr = a;
         s->state = CohState::Modified;
         s->pinned = pinned;
+        c.syncTag(*s);
         return s;
     };
     install(0x000, true);

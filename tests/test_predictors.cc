@@ -7,11 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <list>
-#include <new>
 #include <unordered_map>
 
+#include "count_new.hh"
 #include "core/predictors.hh"
 #include "core/timestamp.hh"
 #include "cpu/program.hh"
@@ -20,24 +19,6 @@
 #include "sync/lock_progs.hh"
 
 using namespace tlr;
-
-namespace
-{
-/** Global operator new calls in this binary, for the allocation test. */
-std::size_t newCalls = 0;
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    ++newCalls;
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
 
 TEST(Timestamp, EarlierClockWins)
 {

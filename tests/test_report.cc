@@ -308,7 +308,7 @@ TEST(Report, EnvHookUnderParallelSweepNumbersEveryEntry)
     std::latch start(4);
     std::vector<SweepTask> tasks;
     for (int i = 0; i < 6; ++i) {
-        tasks.push_back({"t" + std::to_string(i), [i, &start] {
+        tasks.push_back({strfmt("t%d", i), [i, &start] {
                              if (i < 4)
                                  start.arrive_and_wait();
                              MicroParams p;

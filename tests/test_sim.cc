@@ -274,6 +274,60 @@ TEST(FlatContainers, FlatSetKeepsUniqueKeys)
     EXPECT_FALSE(s.contains(0x40));
 }
 
+TEST(FlatContainers, FlatSetGrowsPastItsFirstTable)
+{
+    FlatSet<std::uint64_t> s;
+    for (std::uint64_t k = 0; k < 1000; ++k)
+        s.insert(k * 64);
+    EXPECT_EQ(s.size(), 1000u);
+    for (std::uint64_t k = 0; k < 1000; ++k)
+        ASSERT_TRUE(s.contains(k * 64)) << k;
+    EXPECT_FALSE(s.contains(1000 * 64));
+    EXPECT_FALSE(s.contains(32)); // not line-aligned
+}
+
+TEST(FlatContainers, RingIsFifoAcrossWrapAndGrowth)
+{
+    Ring<int> r;
+    int pushed = 0, popped = 0;
+    // Interleave pushes and pops so the head wraps before each growth.
+    for (int round = 0; round < 40; ++round) {
+        for (int i = 0; i < round % 7 + 2; ++i)
+            r.push_back(pushed++);
+        for (int i = 0; i < round % 5 && !r.empty(); ++i) {
+            ASSERT_EQ(r.front(), popped++);
+            r.pop_front();
+        }
+        std::vector<int> seen;
+        for (int x : r)
+            seen.push_back(x);
+        ASSERT_EQ(seen.size(), r.size());
+        for (size_t i = 0; i < seen.size(); ++i)
+            ASSERT_EQ(seen[i], popped + static_cast<int>(i));
+    }
+    while (!r.empty()) {
+        ASSERT_EQ(r.front(), popped++);
+        r.pop_front();
+    }
+    EXPECT_EQ(popped, pushed);
+}
+
+TEST(FlatContainers, InlineVecKeepsOrderPastInlineCapacity)
+{
+    InlineVec<int, 3> v;
+    EXPECT_TRUE(v.empty());
+    for (int i = 0; i < 5; ++i) {
+        v.push_back(i);
+        EXPECT_EQ(std::vector<int>(v.begin(), v.end()).back(), i);
+    }
+    EXPECT_EQ(std::vector<int>(v.begin(), v.end()),
+              (std::vector<int>{0, 1, 2, 3, 4}));
+    v.clear();
+    EXPECT_TRUE(v.empty());
+    v.push_back(7);
+    EXPECT_EQ(std::vector<int>(v.begin(), v.end()), std::vector<int>{7});
+}
+
 TEST(Rng, DeterministicAndForkIndependent)
 {
     Rng a(42), b(42);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "harness/runner.hh"
@@ -30,6 +31,19 @@ run(Scheme s, const Workload &wl, int cpus,
     mp.spec = schemeSpecConfig(s);
     mp.maxTicks = 500'000'000ull;
     return runWorkload(mp, wl);
+}
+
+/** Test name "s<scheme>c<cpus>" of a (scheme, cpus) grid point. */
+std::string
+gridName(const ::testing::TestParamInfo<std::tuple<Scheme, int>> &info)
+{
+    // Appended piecewise: GCC 12 misreads "literal" + std::string&&
+    // as an overlapping copy (-Wrestrict).
+    std::string name = "s";
+    name += std::to_string(static_cast<int>(std::get<0>(info.param)));
+    name += "c";
+    name += std::to_string(std::get<1>(info.param));
+    return name;
 }
 
 } // namespace
@@ -54,12 +68,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          Scheme::TlrStrictTs,
                                          Scheme::Mcs),
                        ::testing::Values(2, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<Scheme, int>> &info) {
-        return "s" +
-               std::to_string(
-                   static_cast<int>(std::get<0>(info.param))) +
-               "c" + std::to_string(std::get<1>(info.param));
-    });
+    gridName);
 
 TEST(Bank, NestedElisionCommitsBothLocks)
 {
@@ -119,12 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          Scheme::TlrStrictTs,
                                          Scheme::Mcs),
                        ::testing::Values(2, 8, 16)),
-    [](const ::testing::TestParamInfo<std::tuple<Scheme, int>> &info) {
-        return "s" +
-               std::to_string(
-                   static_cast<int>(std::get<0>(info.param))) +
-               "c" + std::to_string(std::get<1>(info.param));
-    });
+    gridName);
 
 TEST(History, TlrSerializationWitnessUnderHeavyConflict)
 {

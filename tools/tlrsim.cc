@@ -117,8 +117,8 @@ usage()
         "  --stats[=PREFIX]    dump counters (optionally filtered)\n"
         "  --stats-json=FILE   write all counters as JSON ('-' =\n"
         "                      stdout; the human summary then moves to\n"
-        "                      stderr. At most one of --stats-json/\n"
-        "                      --timeline-out/--bench-json may be '-')\n"
+        "                      stderr. At most one output flag may\n"
+        "                      be '-')\n"
         "  --report-dir=DIR    append a run bundle (manifest, stats\n"
         "                      json, timeline CSV, explain digest, raw\n"
         "                      trace) to the ledger directory DIR;\n"
@@ -278,16 +278,30 @@ exitStatus(const std::vector<ConfigRow> &rows)
     return 0;
 }
 
+/** The output flags that can name stdout ('-'). */
+constexpr const char *kOutputFlags =
+    "--stats-json/--timeline-out/--bench-json/--trace-out/"
+    "--explain-dot/--explain-json";
+
+/** How many output files of @p o are stdout. */
+int
+stdoutSinks(const Options &o)
+{
+    int n = 0;
+    for (const std::string *path :
+         {&o.statsJson, &o.timelineOut, &o.benchJson, &o.traceOut,
+          &o.explain.dot, &o.explain.json})
+        n += *path == "-";
+    return n;
+}
+
 /** Where the human-readable summary goes: a '-' sink owns stdout, so
  *  the summary moves to stderr and the machine document stays clean
  *  for pipes. main() already refused more than one stdout sink. */
 FILE *
 reportStream(const Options &o)
 {
-    return o.statsJson == "-" || o.timelineOut == "-" ||
-                   o.benchJson == "-"
-               ? stderr
-               : stdout;
+    return stdoutSinks(o) > 0 ? stderr : stdout;
 }
 
 /** Write one output file of the run; a failure is fatal and names
@@ -751,17 +765,12 @@ main(int argc, char **argv)
 
     // stdout can carry exactly one machine document; two '-' sinks
     // would interleave into an unparseable stream.
-    {
-        int stdoutSinks = (o.statsJson == "-") + (o.timelineOut == "-") +
-                          (o.benchJson == "-");
-        if (stdoutSinks > 1) {
-            std::fprintf(stderr,
-                         "tlrsim: at most one of --stats-json/"
-                         "--timeline-out/--bench-json may write to "
-                         "stdout ('-'); got %d\n",
-                         stdoutSinks);
-            return 1;
-        }
+    if (const int n = stdoutSinks(o); n > 1) {
+        std::fprintf(stderr,
+                     "tlrsim: at most one of %s may write to stdout "
+                     "('-'); got %d\n",
+                     kOutputFlags, n);
+        return 1;
     }
 
     std::vector<std::string> schemes = splitList(o.scheme);
