@@ -219,38 +219,6 @@ Explainer::report(ExplainMode mode) const
 }
 
 std::string
-Explainer::dot() const
-{
-    // Aggregate defer edges between transaction instances (or bare
-    // cpus when a side was outside any transaction).
-    std::map<std::pair<std::string, std::string>,
-             std::pair<Tick, std::uint64_t>>
-        agg; // (waiter, owner) -> (ticks, count)
-    for (const DeferEdge &e : graph_.edges()) {
-        const TxnInstance *w = path_.instanceAt(e.waiter, e.start);
-        const TxnInstance *o = path_.instanceAt(e.owner, e.start);
-        std::string wn =
-            w ? w->name() : "cpu" + std::to_string(e.waiter);
-        std::string on =
-            o ? o->name() : "cpu" + std::to_string(e.owner);
-        auto &slot = agg[{wn, on}];
-        slot.first += e.span();
-        slot.second += 1;
-    }
-    std::string s = "digraph conflicts {\n"
-                    "  // waiter -> owner; label: deferrals, wait\n"
-                    "  rankdir=LR;\n  node [shape=box];\n";
-    for (const auto &[key, val] : agg) {
-        s += strfmt("  \"%s\" -> \"%s\" [label=\"%llux, %llut\"];\n",
-                    key.first.c_str(), key.second.c_str(),
-                    static_cast<unsigned long long>(val.second),
-                    static_cast<unsigned long long>(val.first));
-    }
-    s += "}\n";
-    return s;
-}
-
-std::string
 Explainer::json() const
 {
     std::string s = "{\n";
@@ -321,40 +289,6 @@ Explainer::json() const
     }
     s += "  ]\n}\n";
     return s;
-}
-
-std::vector<FlowArrow>
-Explainer::flowArrows(size_t maxArrows) const
-{
-    // Longest serviced deferrals first; cap deterministically (ties
-    // break on start tick, then waiter id).
-    std::vector<const DeferEdge *> v;
-    for (const DeferEdge &e : graph_.edges()) {
-        if (e.serviced && e.span() > 0)
-            v.push_back(&e);
-    }
-    std::sort(v.begin(), v.end(),
-              [](const DeferEdge *a, const DeferEdge *b) {
-                  if (a->span() != b->span())
-                      return a->span() > b->span();
-                  if (a->start != b->start)
-                      return a->start < b->start;
-                  return a->waiter < b->waiter;
-              });
-    if (v.size() > maxArrows)
-        v.resize(maxArrows);
-    std::vector<FlowArrow> out;
-    for (const DeferEdge *e : v) {
-        FlowArrow f;
-        f.fromCpu = e->owner;
-        f.fromTick = e->start;
-        f.toCpu = e->waiter;
-        f.toTick = e->end;
-        f.name = strfmt("defer line=%#llx",
-                        static_cast<unsigned long long>(e->line));
-        out.push_back(f);
-    }
-    return out;
 }
 
 } // namespace tlr

@@ -10,9 +10,7 @@
  *                    top-K most-delayed transactions with their causal
  *                    chains, per-lock contention, or per-cpu time
  *                    decomposition
- *   - dot()          the aggregated conflict graph in Graphviz DOT
  *   - json()         everything machine-readable
- *   - flowArrows()   deferral arrows for the Perfetto export
  *
  * A causal chain follows each transaction's longest deferral to the
  * owner transaction live at that tick, then that owner's own longest
@@ -34,7 +32,6 @@
 
 #include "explain/graph.hh"
 #include "explain/path.hh"
-#include "trace/lifecycle.hh"
 
 namespace tlr
 {
@@ -75,9 +72,7 @@ class Explainer : public TraceListener
     }
 
     std::string report(ExplainMode mode = ExplainMode::Txn) const;
-    std::string dot() const;
     std::string json() const;
-    std::vector<FlowArrow> flowArrows(size_t maxArrows = 256) const;
 
     /** Causal chain for @p t (first link = t's own wait). */
     std::vector<ChainLink> chainFor(const TxnInstance &t) const;

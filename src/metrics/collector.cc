@@ -376,12 +376,9 @@ MetricsCollector::apply(const TxnState::Change &c)
         }
         return;
       }
-      case TraceEvent::CohDeferDepth: {
+      case TraceEvent::CohDeferDepth:
         snap_.deferDepth.record(r.a0);
-        if (tracks_)
-            cpuSlot(depth_, r.cpu).emplace_back(r.tick, r.a0);
         return;
-      }
       case TraceEvent::CohOrder: {
         MsgClass cls = MsgClass::AddrGetS;
         switch (static_cast<ReqType>(r.a0)) {
@@ -456,21 +453,6 @@ MetricsCollector::finish(Tick now)
                              static_cast<int>(j) + ordNode}] = l;
         }
     }
-}
-
-std::vector<CounterTrack>
-MetricsCollector::counterTracks() const
-{
-    std::vector<CounterTrack> out;
-    for (size_t cpu = 0; cpu < depth_.size(); ++cpu) {
-        if (depth_[cpu].empty())
-            continue;
-        CounterTrack t;
-        t.name = strfmt("defer-depth cpu%d", static_cast<int>(cpu));
-        t.samples = depth_[cpu];
-        out.push_back(std::move(t));
-    }
-    return out;
 }
 
 } // namespace tlr

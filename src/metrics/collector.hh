@@ -45,7 +45,6 @@
 
 #include "metrics/histogram.hh"
 #include "sim/flat_containers.hh"
-#include "trace/lifecycle.hh"
 #include "trace/txn_state.hh"
 
 namespace tlr
@@ -149,11 +148,6 @@ class MetricsCollector : public TxnStateView
         isLock_ = std::move(f);
     }
 
-    /** Also retain raw (tick, depth) samples per cpu so tlrsim can
-     *  append Perfetto counter tracks to --trace-out exports. Off by
-     *  default: plain metrics runs stay O(1) in memory. */
-    void enableCounterTracks(bool on = true) { tracks_ = on; }
-
     void apply(const TxnState::Change &c) override;
     /** Fills the snapshot's lock and link maps from the flat
      *  per-record tables. */
@@ -162,10 +156,6 @@ class MetricsCollector : public TxnStateView
     /** Everything measured; complete once finish() has run (the sink
      *  calls it at end of run). */
     const MetricsSnapshot &snapshot() const { return snap_; }
-
-    /** Deferral-queue depth counter tracks (one per cpu that ever
-     *  deferred), for TxnLifecycle::exportChromeTrace. */
-    std::vector<CounterTrack> counterTracks() const;
 
   private:
     /** A real (non-elided) hold of a lock word. */
@@ -186,10 +176,7 @@ class MetricsCollector : public TxnStateView
     std::vector<MsgStat> links_;
     size_t linkDim_ = 0;
     AddrMap<Hold> held_; ///< lock word -> real hold
-    /** Per cpu: (tick, depth) samples, kept only with tracks_. */
-    std::vector<std::vector<std::pair<Tick, std::uint64_t>>> depth_;
     std::function<bool(Addr)> isLock_;
-    bool tracks_ = false;
 };
 
 } // namespace tlr

@@ -477,19 +477,4 @@ EpochTimeline::report() const
     return out;
 }
 
-std::vector<CounterTrack>
-EpochTimeline::counterTracks() const
-{
-    std::vector<CounterTrack> tracks(3);
-    tracks[0].name = "epoch commits";
-    tracks[1].name = "epoch restarts";
-    tracks[2].name = "epoch defers";
-    for (const EpochRow &e : rows_) {
-        tracks[0].samples.emplace_back(e.startTick, e.commits);
-        tracks[1].samples.emplace_back(e.startTick, e.restarts);
-        tracks[2].samples.emplace_back(e.startTick, e.defers);
-    }
-    return tracks;
-}
-
 } // namespace tlr

@@ -49,7 +49,6 @@
 
 #include "metrics/histogram.hh"
 #include "sim/flat_containers.hh"
-#include "trace/lifecycle.hh"
 #include "trace/txn_state.hh"
 
 namespace tlr
@@ -144,10 +143,6 @@ class EpochTimeline : public TxnStateView
     /** Human-readable digest: epoch grid summary plus one line per
      *  alert (tlrsim stdout, bench TLR_TIMELINE reports). */
     std::string report() const;
-
-    /** Per-epoch commit/restart/defer rates as Perfetto counter
-     *  tracks, sampled at each epoch start tick (--trace-out). */
-    std::vector<CounterTrack> counterTracks() const;
 
   private:
     struct LineState

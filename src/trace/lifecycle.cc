@@ -30,6 +30,11 @@ TxnLifecycle::apply(const TxnState::Change &c)
     }
     if (!c.record)
         return;
+    // A deferral a record closed was serviced; one that waited is an
+    // arrow candidate.
+    if (const TxnState::Deferral *d = c.deferClosed; d && c.tick > d->start)
+        serviced_.push_back(
+            {d->serial, d->owner, d->start, d->waiter, c.tick, d->line});
     const TraceRecord &r = *c.record;
     switch (r.kind) {
       case TraceEvent::TxnRestart:
@@ -61,6 +66,11 @@ TxnLifecycle::apply(const TxnState::Change &c)
              strfmt("line=%#llx",
                     static_cast<unsigned long long>(r.addr))});
         return;
+      case TraceEvent::CohDeferDepth:
+        // Records may come from a file: a negative cpu is malformed.
+        if (r.cpu >= 0)
+            cpuSlot(depth_, r.cpu).emplace_back(r.tick, r.a0);
+        return;
       default:
         return;
     }
@@ -83,11 +93,29 @@ outcomeColor(const std::string &outcome)
 
 } // namespace
 
+std::vector<TxnLifecycle::Flow>
+TxnLifecycle::flows(size_t maxFlows) const
+{
+    // std::sort is not stable, so its input order decides how ties
+    // land: defer order, as the explainer's conflict graph keeps it.
+    std::vector<Flow> v = serviced_;
+    std::sort(v.begin(), v.end(), [](const Flow &a, const Flow &b) {
+        return a.serial < b.serial;
+    });
+    std::sort(v.begin(), v.end(), [](const Flow &a, const Flow &b) {
+        if (a.end - a.start != b.end - b.start)
+            return a.end - a.start > b.end - b.start;
+        if (a.start != b.start)
+            return a.start < b.start;
+        return a.waiter < b.waiter;
+    });
+    if (v.size() > maxFlows)
+        v.resize(maxFlows);
+    return v;
+}
+
 void
-TxnLifecycle::exportChromeTrace(std::ostream &os,
-                                const std::vector<CounterTrack> &counters,
-                                const std::vector<FlowArrow> &flows)
-    const
+TxnLifecycle::exportChromeTrace(std::ostream &os) const
 {
     // Durations use "X" complete events; markers use "i" instants.
     // Ticks (cycles) are written as microseconds so viewers show cycle
@@ -144,30 +172,33 @@ TxnLifecycle::exportChromeTrace(std::ostream &os,
     // Causal flow arrows: an "s" (start) / "f" (finish) pair with a
     // shared id draws an arrow between the two rows; "bp":"e" binds
     // the endpoint to the enclosing slice rather than the next one.
-    for (size_t fi = 0; fi < flows.size(); ++fi) {
-        const FlowArrow &f = flows[fi];
+    const std::vector<Flow> arrows = flows();
+    for (size_t fi = 0; fi < arrows.size(); ++fi) {
+        const Flow &f = arrows[fi];
+        const std::string name = strfmt(
+            "defer line=%#llx", static_cast<unsigned long long>(f.line));
         sep();
         os << strfmt("{\"ph\":\"s\",\"pid\":0,\"tid\":%d,"
                      "\"cat\":\"dep\",\"name\":\"%s\",\"id\":%zu,"
                      "\"ts\":%llu}",
-                     f.fromCpu, f.name.c_str(), fi,
-                     static_cast<unsigned long long>(f.fromTick));
+                     f.owner, name.c_str(), fi,
+                     static_cast<unsigned long long>(f.start));
         sep();
         os << strfmt("{\"ph\":\"f\",\"pid\":0,\"tid\":%d,"
                      "\"cat\":\"dep\",\"name\":\"%s\",\"id\":%zu,"
                      "\"bp\":\"e\",\"ts\":%llu}",
-                     f.toCpu, f.name.c_str(), fi,
-                     static_cast<unsigned long long>(f.toTick));
+                     f.waiter, name.c_str(), fi,
+                     static_cast<unsigned long long>(f.end));
     }
 
     // Counter tracks render as per-name value graphs in Perfetto.
-    for (const CounterTrack &c : counters) {
-        for (const auto &[tick, value] : c.samples) {
+    for (size_t cpu = 0; cpu < depth_.size(); ++cpu) {
+        for (const auto &[tick, value] : depth_[cpu]) {
             sep();
-            os << strfmt("{\"ph\":\"C\",\"pid\":0,\"name\":\"%s\","
+            os << strfmt("{\"ph\":\"C\",\"pid\":0,"
+                         "\"name\":\"defer-depth cpu%zu\","
                          "\"ts\":%llu,\"args\":{\"value\":%llu}}",
-                         c.name.c_str(),
-                         static_cast<unsigned long long>(tick),
+                         cpu, static_cast<unsigned long long>(tick),
                          static_cast<unsigned long long>(value));
         }
     }

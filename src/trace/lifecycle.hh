@@ -7,8 +7,12 @@
  * fallback) becomes a span. The result exports as
  * Chrome trace-event JSON (the format Perfetto and chrome://tracing
  * open natively): one timeline row per cpu, a duration span per
- * transaction instance colored by outcome, and instant markers for
- * restarts, defers, probes and yields.
+ * transaction instance colored by outcome, instant markers for
+ * restarts, defers, probes and yields, owner→waiter flow arrows for
+ * serviced deferrals, and a deferral-queue depth counter track per
+ * cpu. Everything comes from the record stream alone, so
+ * `tlrquery --chrome-trace` builds it offline from a `--trace-raw`
+ * file.
  */
 
 #ifndef TLR_TRACE_LIFECYCLE_HH
@@ -24,28 +28,6 @@
 
 namespace tlr
 {
-
-/** One Perfetto counter track: a named series of (tick, value)
- *  samples, appended to the Chrome-trace export as "C" events (the
- *  metrics layer supplies deferral-queue depth tracks this way). */
-struct CounterTrack
-{
-    std::string name;
-    std::vector<std::pair<Tick, std::uint64_t>> samples;
-};
-
-/** One causal flow arrow for the Chrome-trace export: drawn from
- *  (fromCpu row, fromTick) to (toCpu row, toTick) as an "s"/"f" flow
- *  event pair (the explain subsystem supplies deferral arrows —
- *  owner at the defer tick → waiter at the service tick). */
-struct FlowArrow
-{
-    CpuId fromCpu = invalidCpu;
-    Tick fromTick = 0;
-    CpuId toCpu = invalidCpu;
-    Tick toTick = 0;
-    std::string name;
-};
 
 class TxnLifecycle : public TxnStateView
 {
@@ -76,22 +58,41 @@ class TxnLifecycle : public TxnStateView
         std::string detail;
     };
 
+    /** A serviced deferral, drawn as an arrow from the owner's row at
+     *  the defer tick to the waiter's row at the service tick. */
+    struct Flow
+    {
+        std::uint64_t serial = 0; ///< the deferral's, in defer order
+        CpuId owner = invalidCpu;
+        Tick start = 0;
+        CpuId waiter = invalidCpu;
+        Tick end = 0;
+        Addr line = 0;
+    };
+
+    /** (tick, depth) samples of one cpu's deferral queue. */
+    using DepthSamples = std::vector<std::pair<Tick, std::uint64_t>>;
+
     void apply(const TxnState::Change &c) override;
 
     const std::vector<Span> &spans() const { return spans_; }
     const std::vector<Instant> &instants() const { return instants_; }
+    /** Indexed by cpu; empty for a cpu that never deferred. */
+    const std::vector<DepthSamples> &deferDepth() const { return depth_; }
 
-    /** Write the whole run as Chrome trace-event JSON, optionally
-     *  appending @p counters as Perfetto counter tracks and @p flows
-     *  as causal flow arrows between cpu rows. */
-    void exportChromeTrace(std::ostream &os,
-                           const std::vector<CounterTrack> &counters = {},
-                           const std::vector<FlowArrow> &flows = {})
-        const;
+    /** The arrows the export draws: serviced deferrals that waited,
+     *  longest first (ties: start tick, then waiter), at most
+     *  @p maxFlows of them. */
+    std::vector<Flow> flows(size_t maxFlows = 256) const;
+
+    /** Write the whole run as Chrome trace-event JSON. */
+    void exportChromeTrace(std::ostream &os) const;
 
   private:
     std::vector<Span> spans_;
     std::vector<Instant> instants_;
+    std::vector<Flow> serviced_; ///< in service order
+    std::vector<DepthSamples> depth_;
 };
 
 } // namespace tlr

@@ -701,7 +701,7 @@ TEST(Explainer, ChainStopsOnCycleInsteadOfLooping)
     EXPECT_EQ(ex.graph().cycles().size(), 1u);
 }
 
-TEST(Explainer, RendersAllModesDotAndJson)
+TEST(Explainer, RendersAllModesAndJson)
 {
     Explainer ex;
     ex.onRecord(elide(0, 1, 0x80));
@@ -719,21 +719,10 @@ TEST(Explainer, RendersAllModesDotAndJson)
     const std::string cpu = ex.report(ExplainMode::Cpu);
     EXPECT_NE(cpu.find("cpu0"), std::string::npos);
 
-    const std::string dot = ex.dot();
-    EXPECT_EQ(dot.rfind("digraph", 0), 0u);
-    EXPECT_NE(dot.find("->"), std::string::npos);
-
     const std::string json = ex.json();
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
     EXPECT_NE(json.find("\"defer_edges\""), std::string::npos);
-
-    const std::vector<FlowArrow> flows = ex.flowArrows();
-    ASSERT_EQ(flows.size(), 1u);
-    EXPECT_EQ(flows[0].fromCpu, 1);
-    EXPECT_EQ(flows[0].toCpu, 0);
-    EXPECT_EQ(flows[0].fromTick, 10u);
-    EXPECT_EQ(flows[0].toTick, 50u);
 }
 
 // ---------------------------------------------------------------------

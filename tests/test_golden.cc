@@ -8,10 +8,10 @@
  * kGolden).
  *
  * Telemetry golden: FNV-1a digests of every output the five trace
- * listeners render (explain text in all three modes, explain JSON and
- * DOT, metrics JSON and summary, timeline CSV and report, the raw
- * trace file's bytes, the checkers' violation warnings and the Chrome
- * trace export with its counter tracks and flow arrows) for TLR
+ * listeners render (explain text in all three modes, explain JSON,
+ * metrics JSON and summary, timeline CSV and report, the raw trace
+ * file's bytes, the checkers' violation warnings) and of the Chrome
+ * trace export replayed from that raw trace, for TLR
  * runs of single-counter, dlist, tpcc-lite, reverse-writers (wait
  * cycles, deep causal chains and, with a short stuck bound, deferral-
  * cycle violations) and a 72-CPU single-counter.
@@ -258,29 +258,26 @@ struct TelemetryRow
     std::uint64_t explainLock;
     std::uint64_t explainCpu;
     std::uint64_t explainJson;
-    std::uint64_t explainDot;
     std::uint64_t metricsJson;
     std::uint64_t metricsSummary;
     std::uint64_t timelineCsv;
     std::uint64_t timelineReport;
     std::uint64_t rawTrace;
     std::uint64_t warnings;
-    /** TxnLifecycle's Chrome trace with the metrics and timeline
-     *  counter tracks and the explainer's flow arrows: what
-     *  `tlrsim --trace-out --metrics --timeline-epoch --explain`
-     *  writes. */
+    /** TxnLifecycle's Chrome trace of the raw trace replayed: what
+     *  `tlrquery --chrome-trace` writes. */
     std::uint64_t chromeTrace;
 };
 
 // clang-format off
 const TelemetryRow kTelemetry[] = {
-    {"single-counter", 8, 512, 0.6, 0, 0, 0x88ccc50ac2322da4ull, 0xa5c2b8cd1e772594ull, 0x6001a94dd6d2f4cfull, 0x67f719acb88cd6b4ull, 0x5b296734ceb5871ull, 0x2a66222914b98c26ull, 0x8d795efdf3fa00c7ull, 0xfa77c6c01a5067c3ull, 0x26d15f84d5f64d57ull, 0x395d13515e83355cull, 0xcbf29ce484222325ull, 0x369a83a7cb009001ull},
-    {"dlist", 8, 256, 0.6, 0, 0, 0x527a691483619cfcull, 0x985d6f8d53dbe642ull, 0x67d807946ccedcc5ull, 0x7457768695158269ull, 0x3722c1f5ee622016ull, 0x2736e4151a506df5ull, 0x247c2190e2403cf1ull, 0x478ac15eb76e869cull, 0xf243da7e016426b0ull, 0x4310fafe0c68407cull, 0xcbf29ce484222325ull, 0xfb7a1da56ad16310ull},
-    {"tpcc-lite", 8, 48, 0.99, 0, 0, 0xad776fab735ad772ull, 0xf1e931253cc21e2aull, 0xdfa2190a6376122cull, 0x41067dcf7eeda3f7ull, 0xe8f971aef2c49865ull, 0x1032299a302a092bull, 0x2f2d759fe4282c12ull, 0xfd4e45842d7ed806ull, 0x732ca971ed38baf4ull, 0x50a7dd16c2631ddfull, 0xcbf29ce484222325ull, 0x87dae8ca8700cdb1ull},
-    {"reverse-writers", 4, 24, 0.6, 0, 0, 0xe1dec9c6e1c974c7ull, 0x25ef8d09aa0a78aull, 0x454ff93799d5eeb2ull, 0xc60cc2e49572e166ull, 0xd3e37369cc8e24b8ull, 0x2b59c53423de046eull, 0x261105bf02686342ull, 0x5ae30c09f3994079ull, 0xc89957dbda44081bull, 0xa12f9cf24c43316full, 0xcbf29ce484222325ull, 0x9d992cea9ecd0b83ull},
-    {"reverse-writers", 8, 16, 0.6, 300, 4, 0x2e6e33eaebca0edeull, 0x74d5e56291bb2eefull, 0x74972ff390925db4ull, 0xd500ec4d089c5b3ull, 0xed5c5d772a363ec0ull, 0x652c3f7151182a9full, 0x6db2b90de5ec85e0ull, 0xb545c9baac5afe79ull, 0x96ad3e4cf7bd1279ull, 0x908ac6d620565f0bull, 0xf356c2b65643d903ull, 0x14f8496b93409baaull},
-    {"single-counter", 72, 256, 0.6, 0, 0, 0x4ee88c6345ebbbabull, 0xd82a6485f98fd41cull, 0x8895815f2976d78ull, 0xc7d8833d24f05ad0ull, 0xda3fb3d99a6f9d59ull, 0xdd00ad246463414bull, 0x78da96f21d5fb495ull, 0x7d701c858dfb6549ull, 0xd98fed3da0647216ull, 0xc27c7b2b4ea925afull, 0xcbf29ce484222325ull, 0x755d1fe4f60aa359ull},
-    {"reverse-writers", 72, 4, 0.6, 20, 4, 0x5e697452c1f301eull, 0xa6f722157a663c0cull, 0xb1806c54ead6f0e1ull, 0xf1c7c4b5a16578faull, 0xed4d342e140402b5ull, 0xbcde0a85d461caddull, 0x8f7b85eafb69f38dull, 0xa6bb700c4f5f18f3ull, 0x52b70f7543144bb3ull, 0x7fb61c0dfe727cb1ull, 0x8bd2673f64afc490ull, 0x5956b4ea77290a99ull},
+    {"single-counter", 8, 512, 0.6, 0, 0, 0x88ccc50ac2322da4ull, 0xa5c2b8cd1e772594ull, 0x6001a94dd6d2f4cfull, 0x67f719acb88cd6b4ull, 0x2a66222914b98c26ull, 0x8d795efdf3fa00c7ull, 0xfa77c6c01a5067c3ull, 0x26d15f84d5f64d57ull, 0x395d13515e83355cull, 0xcbf29ce484222325ull, 0xfe7d47117de5b9aaull},
+    {"dlist", 8, 256, 0.6, 0, 0, 0x527a691483619cfcull, 0x985d6f8d53dbe642ull, 0x67d807946ccedcc5ull, 0x7457768695158269ull, 0x2736e4151a506df5ull, 0x247c2190e2403cf1ull, 0x478ac15eb76e869cull, 0xf243da7e016426b0ull, 0x4310fafe0c68407cull, 0xcbf29ce484222325ull, 0xd5455a102433f7acull},
+    {"tpcc-lite", 8, 48, 0.99, 0, 0, 0xad776fab735ad772ull, 0xf1e931253cc21e2aull, 0xdfa2190a6376122cull, 0x41067dcf7eeda3f7ull, 0x1032299a302a092bull, 0x2f2d759fe4282c12ull, 0xfd4e45842d7ed806ull, 0x732ca971ed38baf4ull, 0x50a7dd16c2631ddfull, 0xcbf29ce484222325ull, 0xc6ee4e63479806b0ull},
+    {"reverse-writers", 4, 24, 0.6, 0, 0, 0xe1dec9c6e1c974c7ull, 0x25ef8d09aa0a78aull, 0x454ff93799d5eeb2ull, 0xc60cc2e49572e166ull, 0x2b59c53423de046eull, 0x261105bf02686342ull, 0x5ae30c09f3994079ull, 0xc89957dbda44081bull, 0xa12f9cf24c43316full, 0xcbf29ce484222325ull, 0x60cf8ba96e6477b3ull},
+    {"reverse-writers", 8, 16, 0.6, 300, 4, 0x2e6e33eaebca0edeull, 0x74d5e56291bb2eefull, 0x74972ff390925db4ull, 0xd500ec4d089c5b3ull, 0x652c3f7151182a9full, 0x6db2b90de5ec85e0ull, 0xb545c9baac5afe79ull, 0x96ad3e4cf7bd1279ull, 0x908ac6d620565f0bull, 0xf356c2b65643d903ull, 0xccc8f84c9fb0488bull},
+    {"single-counter", 72, 256, 0.6, 0, 0, 0x4ee88c6345ebbbabull, 0xd82a6485f98fd41cull, 0x8895815f2976d78ull, 0xc7d8833d24f05ad0ull, 0xdd00ad246463414bull, 0x78da96f21d5fb495ull, 0x7d701c858dfb6549ull, 0xd98fed3da0647216ull, 0xc27c7b2b4ea925afull, 0xcbf29ce484222325ull, 0x6c5bbe27497391c0ull},
+    {"reverse-writers", 72, 4, 0.6, 20, 4, 0x5e697452c1f301eull, 0xa6f722157a663c0cull, 0xb1806c54ead6f0e1ull, 0xf1c7c4b5a16578faull, 0xbcde0a85d461caddull, 0x8f7b85eafb69f38dull, 0xa6bb700c4f5f18f3ull, 0x52b70f7543144bb3ull, 0x7fb61c0dfe727cb1ull, 0x8bd2673f64afc490ull, 0x2a629d0ad2298ce8ull},
 };
 // clang-format on
 
@@ -309,9 +306,6 @@ runTelemetryRow(const TelemetryRow &want)
     RawTraceWriter raw;
     EXPECT_EQ(raw.open(rawPath), "");
     sys.addTraceListener(&raw);
-    TxnLifecycle lifecycle;
-    sys.addTraceListener(&lifecycle);
-    sys.metrics()->enableCounterTracks();
     installWorkload(sys, wl);
     testing::internal::CaptureStderr();
     EXPECT_TRUE(sys.run());
@@ -329,18 +323,18 @@ runTelemetryRow(const TelemetryRow &want)
     out.explainLock = fnv1a(ex.report(ExplainMode::Lock));
     out.explainCpu = fnv1a(ex.report(ExplainMode::Cpu));
     out.explainJson = fnv1a(ex.json());
-    out.explainDot = fnv1a(ex.dot());
     out.metricsJson = fnv1a(sys.metrics()->snapshot().json());
     out.metricsSummary = fnv1a(sys.metrics()->snapshot().summary());
     out.timelineCsv = fnv1a(sys.timeline()->csv());
     out.timelineReport = fnv1a(sys.timeline()->report());
     out.rawTrace = fnv1a(rawBytes.str());
     out.warnings = fnv1a(warnings);
-    std::vector<CounterTrack> tracks = sys.metrics()->counterTracks();
-    for (CounterTrack &t : sys.timeline()->counterTracks())
-        tracks.push_back(std::move(t));
+    RawTraceReader reader;
+    EXPECT_EQ(reader.open(rawPath), "");
+    TxnLifecycle lifecycle;
+    reader.replay(lifecycle);
     std::ostringstream chrome;
-    lifecycle.exportChromeTrace(chrome, tracks, ex.flowArrows());
+    lifecycle.exportChromeTrace(chrome);
     out.chromeTrace = fnv1a(chrome.str());
     return out;
 }
@@ -353,7 +347,7 @@ telemetryRowText(const TelemetryRow &r)
         buf, sizeof buf,
         "{\"%s\", %d, %llu, %g, %llu, %llu, 0x%llxull, 0x%llxull, "
         "0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull, "
-        "0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull},",
+        "0x%llxull, 0x%llxull, 0x%llxull, 0x%llxull},",
         r.workload, r.cpus, static_cast<unsigned long long>(r.ops),
         r.theta, static_cast<unsigned long long>(r.cycleStuckTicks),
         static_cast<unsigned long long>(r.violations),
@@ -361,7 +355,6 @@ telemetryRowText(const TelemetryRow &r)
         static_cast<unsigned long long>(r.explainLock),
         static_cast<unsigned long long>(r.explainCpu),
         static_cast<unsigned long long>(r.explainJson),
-        static_cast<unsigned long long>(r.explainDot),
         static_cast<unsigned long long>(r.metricsJson),
         static_cast<unsigned long long>(r.metricsSummary),
         static_cast<unsigned long long>(r.timelineCsv),

@@ -403,20 +403,4 @@ TEST(Json, SectionCarriesSchemaEpochsAndAlerts)
     EXPECT_NE(json.find("\"alerts\": ["), std::string::npos);
 }
 
-TEST(Tracks, CounterTracksSampleEveryEpoch)
-{
-    EpochTimeline tl(100);
-    tl.onRecord(rec(10, TraceEvent::TxnCommit));
-    tl.onRecord(rec(150, TraceEvent::TxnRestart, 0, 0x80));
-    tl.finish(199);
-
-    std::vector<CounterTrack> tracks = tl.counterTracks();
-    ASSERT_EQ(tracks.size(), 3u);
-    EXPECT_EQ(tracks[0].name, "epoch commits");
-    ASSERT_EQ(tracks[0].samples.size(), 2u);
-    EXPECT_EQ(tracks[0].samples[0].second, 1u);
-    EXPECT_EQ(tracks[1].samples[1].second, 1u); // epoch 1 restart
-    EXPECT_EQ(tracks[1].samples[1].first, 100u);
-}
-
 } // namespace

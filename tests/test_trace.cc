@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "coherence/spec_hooks.hh"
+#include "explain/rawtrace.hh"
 #include "explain/path.hh"
 #include "harness/runner.hh"
 #include "harness/scheme.hh"
@@ -245,6 +247,121 @@ TEST(TxnLifecycle, ExportsChromeTraceJson)
     // Balanced braces => structurally plausible JSON.
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(TxnLifecycle, DeferDepthTracksAndFlowsComeFromRecords)
+{
+    auto defer = [](Tick tick, CpuId owner, CpuId waiter, Addr line) {
+        return rec(tick, TraceComp::L1, TraceEvent::CohDefer, owner, line,
+                   waiter, static_cast<std::uint64_t>(ReqType::GetX));
+    };
+    auto service = [](Tick tick, CpuId owner, CpuId waiter, Addr line) {
+        return rec(tick, TraceComp::L1, TraceEvent::CohService, owner,
+                   line, waiter,
+                   static_cast<std::uint64_t>(ServiceCause::CommitDrain));
+    };
+    auto depth = [](Tick tick, CpuId cpu, std::uint64_t d) {
+        return rec(tick, TraceComp::L1, TraceEvent::CohDeferDepth, cpu, 0,
+                   d);
+    };
+    TxnLifecycle lc;
+    lc.onRecord(rec(0, TraceComp::Spec, TraceEvent::TxnElide, 1, 0x80, 0,
+                    0, 0, 1));
+    lc.onRecord(defer(10, 1, 0, 0x40)); // serial 0
+    lc.onRecord(depth(10, 1, 1));
+    // Two deferrals tied on (span, start, waiter), serviced in the
+    // reverse of their defer order: the arrows keep defer order.
+    lc.onRecord(defer(20, 3, 2, 0x100)); // serial 1
+    lc.onRecord(depth(20, 3, 1));
+    lc.onRecord(defer(20, 3, 2, 0x140)); // serial 2
+    lc.onRecord(depth(21, 3, 2));
+    lc.onRecord(depth(22, -1, 5)); // malformed (a file's): dropped
+    lc.onRecord(defer(30, 3, 1, 0x180));   // serial 3: never serviced
+    lc.onRecord(defer(40, 1, 3, 0x1c0));   // serial 4: no wait
+    lc.onRecord(service(40, 1, 3, 0x1c0));
+    lc.onRecord(service(50, 1, 0, 0x40));
+    lc.onRecord(service(70, 3, 2, 0x140));
+    lc.onRecord(service(70, 3, 2, 0x100));
+    lc.onRecord(rec(80, TraceComp::Spec, TraceEvent::TxnCommit, 1, 0));
+    lc.finish(100);
+
+    const auto &tracks = lc.deferDepth();
+    ASSERT_EQ(tracks.size(), 4u);
+    EXPECT_TRUE(tracks[0].empty());
+    EXPECT_EQ(tracks[1], (TxnLifecycle::DepthSamples{{10, 1}}));
+    EXPECT_TRUE(tracks[2].empty());
+    EXPECT_EQ(tracks[3], (TxnLifecycle::DepthSamples{{20, 1}, {21, 2}}));
+
+    // Longest wait first; the unserviced and the zero-length deferral
+    // draw nothing.
+    const std::vector<TxnLifecycle::Flow> flows = lc.flows();
+    ASSERT_EQ(flows.size(), 3u);
+    EXPECT_EQ(flows[0].line, 0x100u);
+    EXPECT_EQ(flows[1].line, 0x140u);
+    EXPECT_EQ(flows[1].owner, 3);
+    EXPECT_EQ(flows[1].waiter, 2);
+    EXPECT_EQ(flows[1].start, 20u);
+    EXPECT_EQ(flows[1].end, 70u);
+    EXPECT_EQ(flows[2].owner, 1);
+    EXPECT_EQ(flows[2].waiter, 0);
+    EXPECT_EQ(flows[2].start, 10u);
+    EXPECT_EQ(flows[2].end, 50u);
+    ASSERT_EQ(lc.flows(1).size(), 1u);
+    EXPECT_EQ(lc.flows(1)[0].line, 0x100u);
+
+    std::ostringstream os;
+    lc.exportChromeTrace(os);
+    const std::string json = os.str();
+    const size_t arrow = json.find(
+        "{\"ph\":\"s\",\"pid\":0,\"tid\":3,\"cat\":\"dep\","
+        "\"name\":\"defer line=0x100\",\"id\":0,\"ts\":20}");
+    EXPECT_NE(arrow, std::string::npos);
+    EXPECT_NE(json.find("{\"ph\":\"f\",\"pid\":0,\"tid\":0,"
+                        "\"cat\":\"dep\",\"name\":\"defer line=0x40\","
+                        "\"id\":2,\"bp\":\"e\",\"ts\":50}"),
+              std::string::npos);
+    const size_t cpu1 = json.find(
+        "{\"ph\":\"C\",\"pid\":0,\"name\":\"defer-depth cpu1\","
+        "\"ts\":10,\"args\":{\"value\":1}}");
+    const size_t cpu3 = json.find("\"name\":\"defer-depth cpu3\"");
+    ASSERT_NE(cpu1, std::string::npos);
+    ASSERT_NE(cpu3, std::string::npos);
+    EXPECT_LT(arrow, cpu1);
+    EXPECT_LT(cpu1, cpu3);
+    EXPECT_EQ(json.find("defer-depth cpu0"), std::string::npos);
+}
+
+// A full run's export built online equals the one replayed from the
+// same run's raw trace, as `tlrquery --chrome-trace` builds it.
+TEST(TxnLifecycle, OfflineReplayExportsTheOnlineBytes)
+{
+    const std::string path = "test_trace_chrome.bin";
+    MachineParams mp;
+    mp.numCpus = 4;
+    mp.spec = schemeSpecConfig(Scheme::BaseSleTlr);
+
+    System sys(mp);
+    TxnLifecycle online;
+    sys.addTraceListener(&online);
+    RawTraceWriter writer;
+    ASSERT_EQ(writer.open(path), "");
+    sys.addTraceListener(&writer);
+    installWorkload(sys, makeReverseWriters(4, 256));
+    ASSERT_TRUE(sys.run());
+    ASSERT_EQ(writer.close(), "");
+
+    RawTraceReader reader;
+    ASSERT_EQ(reader.open(path), "");
+    TxnLifecycle offline;
+    reader.replay(offline);
+    std::ostringstream a, b;
+    online.exportChromeTrace(a);
+    offline.exportChromeTrace(b);
+    EXPECT_EQ(a.str(), b.str());
+    // The run defers, so both kinds of derived event are present.
+    EXPECT_NE(a.str().find("\"ph\":\"s\""), std::string::npos);
+    EXPECT_NE(a.str().find("defer-depth cpu"), std::string::npos);
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -93,13 +93,12 @@ parseExplainMode(const std::string &m)
         "invalid value for --explain: '%s' (txn|lock|cpu)", m.c_str()));
 }
 
-/** What --explain[=MODE], --explain-dot=FILE and --explain-json=FILE
- *  asked for; either file flag turns the explainer on. */
+/** What --explain[=MODE] and --explain-json=FILE asked for; the file
+ *  flag turns the explainer on too. */
 struct ExplainFlags
 {
     bool on = false;
     ExplainMode mode = ExplainMode::Txn;
-    std::string dot;  ///< conflict graph DOT destination
     std::string json; ///< explain JSON destination
 };
 
@@ -108,9 +107,7 @@ inline bool
 parseExplainFlag(const char *arg, ExplainFlags &e)
 {
     std::string v;
-    if (parseFlag(arg, "--explain-dot", v))
-        e.dot = v;
-    else if (parseFlag(arg, "--explain-json", v))
+    if (parseFlag(arg, "--explain-json", v))
         e.json = v;
     else if (parseFlag(arg, "--explain", v))
         e.mode = parseExplainMode(v);
@@ -142,17 +139,12 @@ writeText(const std::string &path, const std::string &text)
     return "";
 }
 
-/** Write the files @p e names from @p x: its DOT graph and its JSON
- *  document. @return "" on success, else writeText's message. */
+/** Write the JSON document of @p x to the file @p e names, if any.
+ *  @return "" on success, else writeText's message. */
 inline std::string
-writeExplainFiles(const ExplainFlags &e, const Explainer &x)
+writeExplainJson(const ExplainFlags &e, const Explainer &x)
 {
-    std::string err;
-    if (!e.dot.empty())
-        err = writeText(e.dot, x.dot());
-    if (err.empty() && !e.json.empty())
-        err = writeText(e.json, x.json());
-    return err;
+    return e.json.empty() ? "" : writeText(e.json, x.json());
 }
 
 } // namespace tlr::cli

@@ -4,12 +4,16 @@
  *
  * Reads the versioned raw-trace files tlrsim records with
  * `--trace-raw=FILE` and either prints/aggregates matching records or
- * replays them through the same explain pipeline tlrsim runs online:
+ * replays them through an analysis: the explain and timeline
+ * pipelines tlrsim also runs online, and the Chrome-trace export,
+ * which exists only here:
  *
  *   tlrquery trace.bin                          # print every record
  *   tlrquery --filter=cpu:3,class:Coh trace.bin # filtered
  *   tlrquery --count=kind trace.bin             # histogram by kind
  *   tlrquery --explain trace.bin                # offline causal report
+ *   tlrquery --timeline=1000 trace.bin          # epoch CSV
+ *   tlrquery --chrome-trace --out=t.json trace.bin  # Perfetto view
  *   tlrquery --header trace.bin                 # header only
  *
  * Filters use the exact syntax of tlrsim --trace-filter; the
@@ -22,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -49,6 +54,7 @@ struct Options
     std::string out;       // output destination ("" or "-" = stdout)
     std::uint64_t limit = 0; // 0 = unlimited
     Tick timelineEpoch = 0;  // --timeline=N offline reconstruction
+    bool chromeTrace = false; // --chrome-trace export
 };
 
 void
@@ -71,13 +77,17 @@ usage()
         "  --explain[=MODE]    replay matching records through the\n"
         "                      causal explainer; MODE = txn | lock |\n"
         "                      cpu\n"
-        "  --explain-dot=FILE  write the conflict graph as DOT\n"
         "  --explain-json=FILE write the explain document as JSON\n"
         "  --timeline=N        replay the whole file through the epoch\n"
         "                      timeline (N-cycle epochs) and emit the\n"
         "                      CSV — byte-identical to the same run's\n"
         "                      online tlrsim --timeline-epoch=N\n"
         "                      --timeline-out\n"
+        "  --chrome-trace      replay the whole file into Chrome\n"
+        "                      trace-event JSON (opens in Perfetto):\n"
+        "                      a span per transaction instance,\n"
+        "                      instant markers, deferral flow arrows\n"
+        "                      and per-cpu defer-depth tracks\n"
         "  --out=FILE          write output to FILE instead of stdout\n"
         "  --version           build metadata + schema versions\n");
 }
@@ -135,6 +145,8 @@ parseArgs(int argc, char **argv, Options &o, TraceFilter &filter)
         else if (cli::parseExplainFlag(a, o.explain)) continue;
         else if (parseFlag(a, "--timeline", v))
             o.timelineEpoch = parseNumber<Tick>("timeline", v);
+        else if (std::strcmp(a, "--chrome-trace") == 0)
+            o.chromeTrace = true;
         else if (parseFlag(a, "--out", v)) o.out = v;
         else if (std::strcmp(a, "--header") == 0) o.header = true;
         else if (std::strcmp(a, "--version") == 0) {
@@ -179,21 +191,23 @@ main(int argc, char **argv)
         usage();
         return 1;
     }
-    if (o.count && o.explain.on) {
-        std::fprintf(stderr, "--count and --explain are exclusive\n");
+    const int modes =
+        o.count + o.explain.on + (o.timelineEpoch > 0) + o.chromeTrace;
+    if (modes > 1) {
+        std::fprintf(stderr, "--count, --explain, --timeline and "
+                             "--chrome-trace are exclusive\n");
         return 1;
     }
-    if (o.timelineEpoch > 0 && (o.count || o.explain.on)) {
+    const char *wholeFile = o.chromeTrace ? "--chrome-trace"
+                            : o.timelineEpoch > 0 ? "--timeline"
+                                                  : nullptr;
+    if (wholeFile && !filter.empty()) {
+        // A thinned stream would reconstruct a different run than the
+        // one recorded; refuse rather than silently diverge.
         std::fprintf(stderr,
-                     "--timeline is exclusive with --count/--explain\n");
-        return 1;
-    }
-    if (o.timelineEpoch > 0 && !filter.empty()) {
-        // A thinned stream would reconstruct a different timeline than
-        // the online run saw; refuse rather than silently diverge.
-        std::fprintf(stderr,
-                     "--timeline replays the full stream (no --filter); "
-                     "record the file unfiltered\n");
+                     "%s replays the full stream (no --filter); "
+                     "record the file unfiltered\n",
+                     wholeFile);
         return 1;
     }
     if (o.count && o.countKey != "kind" && o.countKey != "cpu" &&
@@ -246,6 +260,12 @@ main(int argc, char **argv)
         EpochTimeline timeline(o.timelineEpoch);
         reader.replay(timeline);
         emit(timeline.csv());
+    } else if (o.chromeTrace) {
+        TxnLifecycle lifecycle;
+        reader.replay(lifecycle);
+        std::ostringstream os;
+        lifecycle.exportChromeTrace(os);
+        emit(os.str());
     } else if (o.explain.on) {
         Explainer explainer;
         reader.forEach([&](const TraceRecord &r) {
@@ -255,7 +275,7 @@ main(int argc, char **argv)
         });
         explainer.finish(h.finalTick);
         emit(explainer.report(o.explain.mode));
-        std::string err = cli::writeExplainFiles(o.explain, explainer);
+        std::string err = cli::writeExplainJson(o.explain, explainer);
         if (!err.empty()) {
             std::fprintf(stderr, "tlrquery: %s\n", err.c_str());
             return 1;

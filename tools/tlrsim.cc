@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,7 +44,6 @@
 #include "metrics/collector.hh"
 #include "sim/build_info.hh"
 #include "sim/logging.hh"
-#include "trace/lifecycle.hh"
 #include "workloads/registry.hh"
 
 using namespace tlr;
@@ -64,7 +62,6 @@ struct Options
     double theta = 0.6;      // db family: Zipfian key skew
     unsigned keys = 256;     // db family: key-space size
     unsigned partitions = 4; // db family: partitions / warehouses
-    std::string traceOut;    // Chrome-trace JSON destination
     std::string traceRaw;    // binary trace destination (tlrquery)
     std::string traceFilter; // record filter for --trace-raw
     cli::ExplainFlags explain; // causal conflict explainer
@@ -125,29 +122,23 @@ usage()
         "                      render it with tlrreport\n"
         "  --metrics           collect latency histograms, per-lock\n"
         "                      contention and interconnect traffic;\n"
-        "                      prints tables, extends --stats-json and\n"
-        "                      adds counter tracks to --trace-out\n"
+        "                      prints tables and extends --stats-json\n"
         "  --bench-json=FILE   write per-config wall-clock and\n"
         "                      events/sec as JSON ('-' = stdout)\n"
-        "  --trace-out=FILE    write per-transaction lifecycle spans as\n"
-        "                      Chrome-trace JSON (Perfetto-loadable);\n"
-        "                      with --explain, deferral flow arrows are\n"
-        "                      added between cpu rows\n"
         "  --trace-raw=FILE    record the event stream as a versioned\n"
-        "                      binary trace (tlrquery input)\n"
+        "                      binary trace (tlrquery input; its\n"
+        "                      --chrome-trace mode writes the\n"
+        "                      Perfetto view)\n"
         "  --trace-filter=SPEC thin the --trace-raw file to matching\n"
         "                      records, e.g. cpu:3,class:Coh,\n"
         "                      kind:defer,tick:0-5000 (repeated keys\n"
         "                      OR, distinct keys AND). Applies to the\n"
-        "                      raw file only: --trace-out, --explain\n"
-        "                      and --metrics always see the full\n"
-        "                      stream\n"
+        "                      raw file only: --explain and --metrics\n"
+        "                      always see the full stream\n"
         "  --explain[=MODE]    causal conflict report on stdout after\n"
         "                      the run; MODE = txn (top-K delayed\n"
         "                      transactions with causal chains,\n"
         "                      default) | lock | cpu\n"
-        "  --explain-dot=FILE  write the conflict graph as Graphviz\n"
-        "                      DOT (implies --explain)\n"
         "  --explain-json=FILE write instances/edges/cycles as JSON\n"
         "                      (implies --explain)\n"
         "  --timeline-epoch=N  slice the run into N-cycle epochs: per-\n"
@@ -155,8 +146,7 @@ usage()
         "                      online restart-storm/convoy/starvation/\n"
         "                      throughput-collapse alerts (report on\n"
         "                      stdout, \"timeline\" section in\n"
-        "                      --stats-json, counter tracks in\n"
-        "                      --trace-out; DESIGN.md §13)\n"
+        "                      --stats-json; DESIGN.md §13)\n"
         "  --timeline-out=FILE write the per-epoch rows and alert\n"
         "                      stream as CSV (byte-identical to\n"
         "                      tlrquery --timeline offline\n"
@@ -164,7 +154,8 @@ usage()
         "  --progress          one stderr status line refreshed per\n"
         "                      epoch (needs --timeline-epoch);\n"
         "                      auto-disabled when stderr is not a TTY\n"
-        "  --trace-ring=N      flight-recorder depth in records (4096)\n"
+        "  --trace-ring=N      flight-recorder depth in records for\n"
+        "                      --check-invariants dumps (4096)\n"
         "  --check-invariants  run online invariant checkers; panic at\n"
         "                      the first violating tick\n"
         "  --version           build metadata + schema versions\n"
@@ -243,8 +234,7 @@ buildMachineParams(const Options &o, Scheme scheme, int cpus)
     mp.timelineEpoch = o.timelineEpoch;
     mp.preemptEvery = o.preemptEvery;
     mp.preemptQuantum = o.preemptQuantum;
-    const bool wantRing = !o.traceOut.empty() || o.checkInvariants;
-    mp.trace.ringCapacity = wantRing ? o.ringCapacity : 0;
+    mp.trace.ringCapacity = o.checkInvariants ? o.ringCapacity : 0;
     mp.trace.checkInvariants = o.checkInvariants;
     mp.explain = o.explain.on;
     return mp;
@@ -280,8 +270,7 @@ exitStatus(const std::vector<ConfigRow> &rows)
 
 /** The output flags that can name stdout ('-'). */
 constexpr const char *kOutputFlags =
-    "--stats-json/--timeline-out/--bench-json/--trace-out/"
-    "--explain-dot/--explain-json";
+    "--stats-json/--timeline-out/--bench-json/--explain-json";
 
 /** How many output files of @p o are stdout. */
 int
@@ -289,8 +278,7 @@ stdoutSinks(const Options &o)
 {
     int n = 0;
     for (const std::string *path :
-         {&o.statsJson, &o.timelineOut, &o.benchJson, &o.traceOut,
-          &o.explain.dot, &o.explain.json})
+         {&o.statsJson, &o.timelineOut, &o.benchJson, &o.explain.json})
         n += *path == "-";
     return n;
 }
@@ -399,9 +387,6 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
                 std::fflush(stderr);
             });
     }
-    TxnLifecycle lifecycle;
-    if (!o.traceOut.empty())
-        sys.addTraceListener(&lifecycle);
     RawTraceWriter rawWriter;
     if (!o.traceRaw.empty()) {
         std::string err = rawWriter.open(o.traceRaw);
@@ -416,8 +401,6 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
         }
         sys.addTraceListener(&rawWriter);
     }
-    if (o.metrics && !o.traceOut.empty())
-        sys.metrics()->enableCounterTracks();
     Workload wl = buildWorkload(o, cpus, schemeLockKind(scheme));
 
     auto t0 = std::chrono::steady_clock::now();
@@ -464,31 +447,9 @@ runSingle(const Options &o, const std::string &schemeStr, int cpus)
     if (o.explain.on) {
         std::fprintf(rpt, "%s",
                      sys.explainer()->report(o.explain.mode).c_str());
-        std::string err = cli::writeExplainFiles(o.explain, *sys.explainer());
+        std::string err = cli::writeExplainJson(o.explain, *sys.explainer());
         if (!err.empty())
             fatal("--explain: %s", err.c_str());
-    }
-    if (!o.traceOut.empty()) {
-        std::vector<CounterTrack> tracks;
-        if (o.metrics)
-            tracks = sys.metrics()->counterTracks();
-        if (sys.timeline()) {
-            std::vector<CounterTrack> tl =
-                sys.timeline()->counterTracks();
-            tracks.insert(tracks.end(), tl.begin(), tl.end());
-        }
-        std::vector<FlowArrow> flows;
-        if (o.explain.on)
-            flows = sys.explainer()->flowArrows();
-        std::ostringstream out;
-        lifecycle.exportChromeTrace(out, tracks, flows);
-        writeArtifact("--trace-out", o.traceOut, out.str());
-        std::fprintf(stderr,
-                     "wrote %zu transaction spans, %zu instants, "
-                     "%zu counter tracks, %zu flow arrows to %s\n",
-                     lifecycle.spans().size(),
-                     lifecycle.instants().size(), tracks.size(),
-                     flows.size(), o.traceOut.c_str());
     }
     if (!o.traceRaw.empty()) {
         // The file is complete once closed; a failed write, flush or
@@ -544,7 +505,6 @@ runSweepMode(const Options &o, const std::vector<std::string> &schemes,
 {
     // Flags that name one run's files or its terminal.
     const std::pair<const char *, bool> perRunFlags[] = {
-        {"--trace-out", !o.traceOut.empty()},
         {"--trace-raw", !o.traceRaw.empty()},
         {"--trace-filter", !o.traceFilter.empty()},
         {"--explain", o.explain.on},
@@ -713,7 +673,6 @@ parseArgs(int argc, char **argv, Options &o)
         else if (parseFlag(a, "--stats-json", v)) o.statsJson = v;
         else if (parseFlag(a, "--bench-json", v)) o.benchJson = v;
         else if (parseFlag(a, "--report-dir", v)) o.reportDir = v;
-        else if (parseFlag(a, "--trace-out", v)) o.traceOut = v;
         else if (parseFlag(a, "--trace-raw", v)) o.traceRaw = v;
         else if (parseFlag(a, "--trace-filter", v)) o.traceFilter = v;
         else if (cli::parseExplainFlag(a, o.explain)) continue;
